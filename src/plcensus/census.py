@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import prod
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .plmap import PLMap
 from .sequences import SequenceSpec, terms
@@ -25,22 +25,6 @@ from .sequences import SequenceSpec, terms
 class CensusInvariantError(RuntimeError):
     """An enumerated count failed orbit divisibility; something is deeply
     wrong (or the map violates the finiteness hypothesis undetected)."""
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality check (desk scale)."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0 or n % 3 == 0:
-        return False
-    f = 5
-    while f * f <= n:
-        if n % f == 0 or n % (f + 2) == 0:
-            return False
-        f += 6
-    return True
 
 
 @dataclass(frozen=True)
@@ -53,9 +37,6 @@ class FactoredInt:
     @property
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
-
-    def recompose(self) -> int:
-        return prod(p**e for p, e in self.factors)
 
 
 def factorize(m: int) -> FactoredInt:
@@ -85,33 +66,30 @@ def factorize(m: int) -> FactoredInt:
 Accessor = Callable[[int], int]
 
 
-def phi1(m: int, phi: Accessor) -> int:
-    """Inclusion-exclusion over the distinct primes of m:
-    sum over subsets T of (-1)^|T| * phi(m / prod(T)); phi1(1, .) = phi(1)."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    primes = factorize(m).primes
+def _inclusion_exclusion(m: int, primes: Sequence[int], acc: Accessor) -> int:
+    """Sum over subsets T of ``primes`` of (-1)^|T| * acc(m / prod(T))."""
     total = 0
     for r in range(len(primes) + 1):
         for combo in combinations(primes, r):
-            total += (-1) ** r * phi(m // prod(combo))
+            total += (-1) ** r * acc(m // prod(combo))
     return total
+
+
+def phi1(m: int, phi: Accessor) -> int:
+    """Inclusion-exclusion over the distinct primes of m:
+    sum over subsets T of (-1)^|T| * phi(m / prod(T)); phi1(1, .) = phi(1).
+    Raises ValueError for m < 1 (through factorize)."""
+    return _inclusion_exclusion(m, factorize(m).primes, phi)
 
 
 def phi2(m: int, psi: Accessor) -> int:
     """Like phi1 but over the distinct odd primes of m (the power of two in
     m stays fixed); for m a power of two, including m = 1, it is psi(m) - 1
     (discounting the origin, which every odd map fixes)."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
     odd = [p for p in factorize(m).primes if p != 2]
     if not odd:
         return psi(m) - 1
-    total = 0
-    for r in range(len(odd) + 1):
-        for combo in combinations(odd, r):
-            total += (-1) ** r * psi(m // prod(combo))
-    return total
+    return _inclusion_exclusion(m, odd, psi)
 
 
 OPERATORS = {"phi1": (phi1, 1), "phi2": (phi2, 2)}

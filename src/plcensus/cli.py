@@ -18,6 +18,7 @@ import sys
 import time
 
 from . import census, sequences
+from .exactnum import series_expand
 from .families import FamilyParams, MAP_FAMILIES
 from .plmap import DEFAULT_MAX_PIECES, InfiniteSolutions, PieceLimitError
 
@@ -120,6 +121,21 @@ def cmd_count(args) -> int:
     return 0
 
 
+def _gf_rows(spec, K: int) -> list[dict]:
+    """Generating-function expansion against the recurrence terms, k <= K."""
+    expanded = series_expand(spec.gf_num, spec.gf_den, K)
+    wanted = sequences.terms(spec, K)
+    return [
+        {"k": k, "sequence": wanted[k - 1], "series": expanded[k - 1], "match": wanted[k - 1] == expanded[k - 1]}
+        for k in range(1, K + 1)
+    ]
+
+
+def _summary(t0: float, **fields) -> dict:
+    """A record's summary block: ``fields``, then the runtime since t0."""
+    return {**fields, "runtime_ms": round((time.perf_counter() - t0) * 1000, 3)}
+
+
 ORACLE_MAP = {
     # sequence family -> map selection for the oracle cross-check
     "a": lambda p: FamilyParams("base2") if p["n"] == 3 else FamilyParams("fmn", n=p["n"], m=2),
@@ -134,11 +150,7 @@ def _oracle_check(family: str, spec, depth: int) -> dict:
     params = dict(spec.params)
     if family == "d":
         # no map realizes the d family here; cross-check GF vs recurrence instead
-        from .exactnum import series_expand
-
-        expanded = series_expand(spec.gf_num, spec.gf_den, depth)
-        wanted = sequences.terms(spec, depth)
-        first = next((k for k in range(1, depth + 1) if expanded[k - 1] != wanted[k - 1]), None)
+        first = next((r["k"] for r in _gf_rows(spec, depth) if not r["match"]), None)
         return {"kind": "gf", "depth": depth, "pass": first is None, "first_mismatch": first}
     pl_map = ORACLE_MAP[family](params).build()
     sign = -1 if family == "s" else 1
@@ -210,11 +222,7 @@ def cmd_verify(args) -> int:
             "params": {k: v for k, v in (("n", args.n), ("q", args.q), ("r", args.r), ("s", args.s)) if v is not None},
             "K": args.K,
             "rows": rows,
-            "summary": {
-                "all_pass": all_pass,
-                "first_failure": first,
-                "runtime_ms": round((time.perf_counter() - t0) * 1000, 3),
-            },
+            "summary": _summary(t0, all_pass=all_pass, first_failure=first),
         }
         _emit_rows(record, args.format)
         return 0  # conjecture findings are data, not failures
@@ -245,27 +253,16 @@ def cmd_verify(args) -> int:
         "K": args.K,
         "oracle_check": oracle,
         "rows": [r.to_dict() for r in reports],
-        "summary": {
-            "all_pass": all_pass,
-            "first_failure": first,
-            "runtime_ms": round((time.perf_counter() - t0) * 1000, 3),
-        },
+        "summary": _summary(t0, all_pass=all_pass, first_failure=first),
     }
     _emit_rows(record, args.format)
     return 0 if all_pass else VERIFY_ERROR
 
 
 def cmd_gfcheck(args) -> int:
-    from .exactnum import series_expand
-
     t0 = time.perf_counter()
     spec = sequences.build_spec(args.family, **_seq_params(args))
-    expanded = series_expand(spec.gf_num, spec.gf_den, args.K)
-    wanted = sequences.terms(spec, args.K)
-    rows = [
-        {"k": k, "sequence": wanted[k - 1], "series": expanded[k - 1], "match": wanted[k - 1] == expanded[k - 1]}
-        for k in range(1, args.K + 1)
-    ]
+    rows = _gf_rows(spec, args.K)
     first = next((r["k"] for r in rows if not r["match"]), None)
     record = {
         "command": "gfcheck",
@@ -275,11 +272,7 @@ def cmd_gfcheck(args) -> int:
         "numerator": list(spec.gf_num.coeffs),
         "denominator": list(spec.gf_den.coeffs),
         "rows": rows,
-        "summary": {
-            "all_pass": first is None,
-            "first_mismatch": first,
-            "runtime_ms": round((time.perf_counter() - t0) * 1000, 3),
-        },
+        "summary": _summary(t0, all_pass=first is None, first_mismatch=first),
     }
     if spec.note:
         record["note"] = spec.note

@@ -9,14 +9,8 @@ polynomials.  No floating point anywhere: rationals are stdlib
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import zip_longest
 from typing import Iterable, Sequence, Union
-
-# Exact rationals throughout the package.  Fraction already guarantees the
-# canonical form (reduced, positive denominator), so equality is structural.
-Rational = Fraction
-
 
 class ExactnessError(ArithmeticError):
     """A computation would have required leaving the integers."""
@@ -65,9 +59,6 @@ class Poly:
     def __sub__(self, other: "Poly") -> "Poly":
         return Poly(a - b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0))
 
-    def __neg__(self) -> "Poly":
-        return Poly(-a for a in self.coeffs)
-
     def __mul__(self, other: "Poly") -> "Poly":
         if not self.coeffs or not other.coeffs:
             return Poly()
@@ -78,36 +69,8 @@ class Poly:
                     out[i + j] += a * b
         return Poly(out)
 
-    def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def __repr__(self) -> str:
         return f"Poly({list(self.coeffs)!r})"
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            if i == 0:
-                body = str(mag)
-            else:
-                var = "x" if i == 1 else f"x^{i}"
-                body = var if mag == 1 else f"{mag}{var}"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = (first_sign if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
 
 
 PolyLike = Union[Poly, Sequence[int]]
@@ -123,15 +86,13 @@ class RecurrenceSpec:
 
     ``initial_terms`` is the explicit starting segment (it may be longer than
     the order when early terms follow closed-form rules instead of the
-    recurrence); the recurrence takes over immediately after it.
-    ``start_index`` records the index of the first term (1 for everything in
-    this package).
+    recurrence); the recurrence takes over immediately after it.  Terms are
+    indexed from 1.
     """
 
     order: int
     coefficients: tuple[int, ...]
     initial_terms: tuple[int, ...]
-    start_index: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "coefficients", tuple(self.coefficients))
@@ -140,12 +101,10 @@ class RecurrenceSpec:
             raise ValueError("recurrence order must be >= 1")
         if len(self.coefficients) != self.order:
             raise ValueError("need exactly `order` coefficients")
-        if self.start_index < 1:
-            raise ValueError("start_index must be >= 1")
 
 
 def recurrence_eval(spec: RecurrenceSpec, K: int) -> list[int]:
-    """First K terms of the recurrence, starting at ``spec.start_index``.
+    """Terms t_1 .. t_K of the recurrence.
 
     >>> recurrence_eval(RecurrenceSpec(2, (3, -1), (3, 7)), 4)
     [3, 7, 18, 47]

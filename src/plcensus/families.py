@@ -95,6 +95,17 @@ def make_pn(n: int) -> PLMap:
     return PLMap(_merged_anchors(spec))
 
 
+# family tag -> (constructor, parameter names in constructor order)
+_BUILDERS = {
+    "base2": (make_base_map, ()),
+    "fmn": (make_fmn, ("m", "n")),
+    "gn": (make_gn, ("n",)),
+    "hjmn": (make_hjmn, ("j", "m", "n")),
+    "pn": (make_pn, ("n",)),
+}
+MAP_FAMILIES = tuple(_BUILDERS)
+
+
 @dataclass(frozen=True)
 class FamilyParams:
     """A map family tag plus its integer parameters; the CLI's map
@@ -106,27 +117,10 @@ class FamilyParams:
     j: int | None = None
 
     def build(self) -> PLMap:
-        f = self.family
-        if f == "base2":
-            return make_base_map()
-        if f == "fmn":
-            self._need("m", "n")
-            return make_fmn(self.m, self.n)
-        if f == "gn":
-            self._need("n")
-            return make_gn(self.n)
-        if f == "hjmn":
-            self._need("j", "m", "n")
-            return make_hjmn(self.j, self.m, self.n)
-        if f == "pn":
-            self._need("n")
-            return make_pn(self.n)
-        raise ValueError(f"unknown family {f!r}")
-
-    def _need(self, *names: str) -> None:
+        if self.family not in _BUILDERS:
+            raise ValueError(f"unknown family {self.family!r}")
+        fn, names = _BUILDERS[self.family]
         missing = [a for a in names if getattr(self, a) is None]
         if missing:
             raise ValueError(f"family {self.family!r} needs parameters: {', '.join(missing)}")
-
-
-MAP_FAMILIES = ("base2", "fmn", "gn", "hjmn", "pn")
+        return fn(*(getattr(self, a) for a in names))

@@ -62,10 +62,6 @@ class InfiniteSolutions(Exception):
         rhs = "x" if sign == 1 else "-x"
         super().__init__(f"f^{k}(x) = {rhs} holds identically on [{lo}, {hi}]")
 
-    @property
-    def solution_set(self) -> "SolutionSet":
-        return SolutionSet((), infinite=True, witness=self.witness)
-
 
 @dataclass(frozen=True)
 class AffinePiece:
@@ -82,15 +78,10 @@ class AffinePiece:
 
 @dataclass(frozen=True)
 class SolutionSet:
-    """Exact solution set of f^k(x) = sign*x.
-
-    When ``infinite`` is set the equation holds on the whole ``witness``
-    interval and ``points`` is meaningless.
-    """
+    """Exact, sorted solution set of f^k(x) = sign*x.  An equation that
+    holds on a whole interval raises InfiniteSolutions instead."""
 
     points: tuple[Fraction, ...]
-    infinite: bool = False
-    witness: tuple[Fraction, Fraction] | None = None
 
     def __len__(self) -> int:
         return len(self.points)
@@ -313,12 +304,6 @@ class PLMap:
 
     # -- solution counting --------------------------------------------------
 
-    def _check_sign_domain(self, sign: int) -> None:
-        if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        if sign == -1 and not (self._xs[0] <= 0 <= self._xs[-1]):
-            raise DomainError("f^k(x) = -x needs 0 inside the domain")
-
     def _resolve_method(self, k: int, method: str) -> str:
         if method == "pieces":
             return "pieces"
@@ -431,10 +416,13 @@ class PLMap:
         overlap = sum(self._walks_containing(md, p, k, sign) for p in ints)
         return total - overlap + len(ints)
 
-    def _markov_enumerate(self, md: _MarkovData, k: int, sign: int) -> set[Fraction]:
+    def _markov_enumerate(self, md: _MarkovData, k: int, sign: int, max_pieces: int) -> set[Fraction]:
+        """Walk every admissible word; each length-k word is one piece of f^k,
+        so the words count against the same budget as the pieces engine."""
         self._markov_check_finite(md, k, sign)
         sols = {Fraction(p) for p in self._int_solutions(md, k, sign)}
         A, slopes, intercepts, n = md.A, md.slopes, md.intercepts, md.n
+        words = 0
         for j0 in range(n):
             target = md.target(j0, sign)
             if target is None:
@@ -444,6 +432,9 @@ class PLMap:
             while stack:
                 j, s, t, depth = stack.pop()
                 if depth == k:
+                    words += 1
+                    if words > max_pieces:
+                        raise PieceLimitError(max_pieces, k)
                     if A[j][target]:
                         # the finite check above rules out s == sign here
                         x = Fraction(t, sign - s)
@@ -455,6 +446,23 @@ class PLMap:
                     if row[j2]:
                         stack.append((j2, slopes[j2] * s, slopes[j2] * t + intercepts[j2], depth + 1))
         return sols
+
+    def _solve(self, k: int, sign: int, method: str, max_pieces: int, count: bool) -> int | set[Fraction]:
+        """Validate the query, pick the engine, and return the number of
+        solutions (``count``) or the unsorted set of them."""
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        if sign not in (1, -1):
+            raise ValueError("sign must be +1 or -1")
+        if sign == -1 and not (self._xs[0] <= 0 <= self._xs[-1]):
+            raise DomainError("f^k(x) = -x needs 0 inside the domain")
+        if self._resolve_method(k, method) == "markov":
+            md = self._markov_data()
+            if count:
+                return self._markov_count(md, k, sign)
+            return self._markov_enumerate(md, k, sign, max_pieces)
+        sols = self._pieces_solve(k, sign, max_pieces)
+        return len(sols) if count else sols
 
     def count_solutions(
         self,
@@ -470,12 +478,7 @@ class PLMap:
         identically on a piece, and PieceLimitError when the ``pieces``
         engine would exceed ``max_pieces``.
         """
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        self._check_sign_domain(sign)
-        if self._resolve_method(k, method) == "markov":
-            return self._markov_count(self._markov_data(), k, sign)
-        return len(self._pieces_solve(k, sign, max_pieces))
+        return self._solve(k, sign, method, max_pieces, count=True)
 
     def solution_set(
         self,
@@ -484,15 +487,12 @@ class PLMap:
         method: str = "auto",
         max_pieces: int = DEFAULT_MAX_PIECES,
     ) -> SolutionSet:
-        """The exact, sorted, deduplicated solution set of f^k(x) = sign*x."""
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        self._check_sign_domain(sign)
-        if self._resolve_method(k, method) == "markov":
-            sols = self._markov_enumerate(self._markov_data(), k, sign)
-        else:
-            sols = self._pieces_solve(k, sign, max_pieces)
-        return SolutionSet(tuple(sorted(sols)))
+        """The exact, sorted, deduplicated solution set of f^k(x) = sign*x.
+
+        Raises PieceLimitError when more than ``max_pieces`` pieces (or, on
+        the ``markov`` engine, transition words) would be walked.
+        """
+        return SolutionSet(tuple(sorted(self._solve(k, sign, method, max_pieces, count=False))))
 
     def count_sequence(
         self,

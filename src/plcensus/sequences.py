@@ -45,9 +45,6 @@ class SequenceSpec:
     gf_den: Poly
     note: str | None = None
 
-    def param(self, name: str) -> int:
-        return dict(self.params)[name]
-
     @property
     def label(self) -> str:
         inner = ", ".join(f"{k}={v}" for k, v in self.params)
@@ -182,11 +179,6 @@ def spec_s(n: int) -> SequenceSpec:
 def terms(spec: SequenceSpec, K: int) -> list[int]:
     """First K terms of the sequence (prefix, then recurrence)."""
     return recurrence_eval(spec.recurrence, K)
-
-
-def gf_of(spec: SequenceSpec) -> tuple[Poly, Poly]:
-    """(numerator, denominator) of the sequence's generating function."""
-    return (spec.gf_num, spec.gf_den)
 
 
 def seq_a(n: int, K: int) -> list[int]:

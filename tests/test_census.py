@@ -1,5 +1,6 @@
 import pytest
 from fractions import Fraction
+from math import isqrt, prod
 
 from hypothesis import given, settings, strategies as st
 
@@ -8,7 +9,6 @@ from plcensus.census import (
     explore_qrs,
     check_phi1_on_s,
     factorize,
-    is_prime,
     oracle_congruence,
     periodic_census,
     phi1,
@@ -33,25 +33,23 @@ def test_factorize_examples():
         factorize(0)
 
 
+def _is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
 def test_factorize_invariants_sampled():
     for m in list(range(1, 2000)) + [10**6, 999983, 2**20, 3 * 5 * 7 * 11 * 13]:
         f = factorize(m)
-        assert f.recompose() == m
+        assert prod(p**e for p, e in f.factors) == m
         assert list(f.primes) == sorted(f.primes)
-        assert all(is_prime(p) for p in f.primes)
+        assert all(_is_prime(p) for p in f.primes)
         assert all(e >= 1 for _, e in f.factors)
 
 
 @given(st.integers(1, 10**6))
 @settings(max_examples=200, deadline=None)
 def test_factorize_round_trip(m):
-    assert factorize(m).recompose() == m
-
-
-def test_is_prime():
-    assert [p for p in range(2, 30) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-    assert not is_prime(1) and not is_prime(0) and not is_prime(-7)
-    assert is_prime(999983) and not is_prime(10**6)
+    assert prod(p**e for p, e in factorize(m).factors) == m
 
 
 # -- phi1 / phi2 -------------------------------------------------------------------
@@ -85,6 +83,35 @@ def test_phi2_power_of_two_branch():
     psi = lambda k: 3**k
     for m in (1, 2, 4, 8, 16):
         assert phi2(m, psi) == 3**m - 1
+
+
+def _mobius(n):
+    mu, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            mu = -mu
+        d += 1
+    return -mu if n > 1 else mu
+
+
+@given(st.integers(1, 5000), st.data())
+@settings(max_examples=200, deadline=None)
+def test_phi_operators_match_moebius_sums(m, data):
+    drawn = {}
+
+    def acc(k):
+        if k not in drawn:
+            drawn[k] = data.draw(st.integers(-10**12, 10**12), label=f"f({k})")
+        return drawn[k]
+
+    divisors = [d for d in range(1, m + 1) if m % d == 0]
+    assert phi1(m, acc) == sum(_mobius(d) * acc(m // d) for d in divisors)
+    power_of_two = m & (m - 1) == 0
+    odd_sum = sum(_mobius(d) * acc(m // d) for d in divisors if d % 2)
+    assert phi2(m, acc) == odd_sum - power_of_two
 
 
 # -- verify_congruence ---------------------------------------------------------------

@@ -221,6 +221,44 @@ def test_gfcheck_csv_format(capsys):
     assert out.splitlines() == ["k,sequence,series,match", "1,2,2,true", "2,6,6,true"]
 
 
+# -- record shapes -------------------------------------------------------------------
+
+FAMILY_KEYS = ["command", "target", "params", "operator", "K", "oracle_check", "rows", "summary"]
+VERIFY_SUMMARY = ["all_pass", "first_failure", "runtime_ms"]
+ORACLE_KEYS = ["kind", "depth", "pass", "first_mismatch"]
+
+
+@pytest.mark.parametrize(
+    "argv, keys, summary_keys, oracle_kind",
+    [
+        (["verify", "--family", "a", "--n", "4", "--K", "10"], FAMILY_KEYS, VERIFY_SUMMARY, "map"),
+        (["verify", "--family", "d", "--m", "1", "--n", "2", "--K", "10"], FAMILY_KEYS, VERIFY_SUMMARY, "gf"),
+        (
+            ["verify", "--conjecture", "qrs", "--n", "2", "--q", "0..1", "--r", "0", "--s", "0", "--K", "10"],
+            ["command", "target", "params", "K", "rows", "summary"],
+            VERIFY_SUMMARY,
+            None,
+        ),
+        (
+            ["gfcheck", "--family", "d", "--m", "1", "--n", "2", "--K", "10"],
+            ["command", "family", "params", "K", "numerator", "denominator", "rows", "summary"],
+            ["all_pass", "first_mismatch", "runtime_ms"],
+            None,
+        ),
+    ],
+    ids=["verify-a", "verify-d", "verify-qrs", "gfcheck"],
+)
+def test_json_record_shapes(capsys, argv, keys, summary_keys, oracle_kind):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    record = json.loads(out)
+    assert list(record) == keys
+    assert list(record["summary"]) == summary_keys
+    if oracle_kind is not None:
+        assert list(record["oracle_check"]) == ORACLE_KEYS
+        assert record["oracle_check"]["kind"] == oracle_kind
+
+
 # -- output determinism -------------------------------------------------------------
 
 def test_output_deterministic_modulo_runtime(capsys):

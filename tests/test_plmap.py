@@ -118,6 +118,19 @@ def test_piece_limit_guard():
         make_gn(1).iterate_pieces(40, max_pieces=1000)
     with pytest.raises(PieceLimitError):
         make_gn(1).count_solutions(40, method="pieces", max_pieces=1000)
+    # auto picks markov here; its enumeration walks one word per piece of f^k
+    with pytest.raises(PieceLimitError):
+        make_gn(1).solution_set(22, max_pieces=1000)
+
+
+@pytest.mark.parametrize("m", [make_gn(1), make_gn(2), make_base_map()], ids=["g1", "g2", "base"])
+def test_markov_enumeration_budget_matches_pieces(m):
+    for k in range(1, 6):
+        budget = len(m.iterate_pieces(k))
+        for method in ("pieces", "markov"):
+            assert len(m.solution_set(k, method=method, max_pieces=budget)) == m.count_solutions(k)
+            with pytest.raises(PieceLimitError):
+                m.solution_set(k, method=method, max_pieces=budget - 1)
 
 
 # -- counting and solution sets ----------------------------------------------

@@ -6,7 +6,6 @@ from plcensus.sequences import (
     _numerator_from_terms,
     _s_numerator_formula,
     build_spec,
-    gf_of,
     seq_a,
     seq_b,
     seq_c,
@@ -76,13 +75,13 @@ def test_seq_s():
 # -- generating functions --------------------------------------------------------
 
 def test_gf_examples():
-    num, den = gf_of(spec_a(3))
-    assert (num, den) == (Poly([0, 3, -2]), Poly([1, -3, 1]))
-    num, den = gf_of(spec_d(1, 2))
-    assert (num, den) == (Poly([0, 2, 2]), Poly([1, -2, -1]))
-    num, den = gf_of(spec_s(2))
-    assert den == Poly([1, -3, 1, 1])
-    assert num == Poly([0, 1, 2, -1])  # z + 2z^2 - z^3, computed from the terms
+    sp = spec_a(3)
+    assert (sp.gf_num, sp.gf_den) == (Poly([0, 3, -2]), Poly([1, -3, 1]))
+    sp = spec_d(1, 2)
+    assert (sp.gf_num, sp.gf_den) == (Poly([0, 2, 2]), Poly([1, -2, -1]))
+    sp = spec_s(2)
+    assert sp.gf_den == Poly([1, -3, 1, 1])
+    assert sp.gf_num == Poly([0, 1, 2, -1])  # z + 2z^2 - z^3, computed from the terms
 
 
 def test_s2_shortcut_disagrees_and_is_documented():
