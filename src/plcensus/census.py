@@ -7,7 +7,9 @@ number of points of least period m; phi2(m, f) does the same for symmetric
 periodic points of odd maps (least period 2m) from f(k) = #{x : g^k(x) = -x}.
 The censuses recompute those numbers by brute-force enumeration and orbit
 inspection, independently of the operators, which is what makes the
-congruence checks meaningful.
+congruence checks meaningful.  On maps with integer Markov data the orbits
+are walked in integers: f(a/b) = (s*a + t*b)/b on the unit interval holding
+a/b, so each orbit is a list of numerators over one fixed denominator b.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import prod
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .plmap import PLMap
 from .sequences import SequenceSpec, terms
@@ -154,6 +156,34 @@ class CensusCount(NamedTuple):
 ENUMERATE_LIMIT = 3000
 
 
+def _cycles(pl_map: PLMap, points: Iterable[Fraction], limit: int) -> Iterator[list]:
+    """For each x in ``points``, its orbit x, f(x), ... up to the first
+    return to x, or [] if it does not return within ``limit`` steps.
+
+    On a map with integer Markov data the orbit is a list of integer
+    numerators over x's denominator; elsewhere it is the exact Fraction walk.
+    """
+    md = pl_map._markov_data()
+    for x in points:
+        if md is None:
+            orbit, y = [x], pl_map(x)
+            while y != x and len(orbit) < limit:
+                orbit.append(y)
+                y = pl_map(y)
+            yield orbit if y == x else []
+            continue
+        lo, last, slopes, intercepts = md.lo, md.n - 1, md.slopes, md.intercepts
+        a0, b = x.numerator, x.denominator
+        orbit, a = [a0], a0
+        while True:
+            i = min(a // b - lo, last)
+            a = slopes[i] * a + intercepts[i] * b
+            if a == a0 or len(orbit) == limit:
+                break
+            orbit.append(a)
+        yield orbit if a == a0 else []
+
+
 def periodic_census(pl_map: PLMap, m: int, enumerate_limit: int = ENUMERATE_LIMIT) -> CensusCount:
     """Exact number of points of least period m, counted independently of
     phi1: enumerate solutions of f^m(x) = x and determine each point's least
@@ -163,17 +193,9 @@ def periodic_census(pl_map: PLMap, m: int, enumerate_limit: int = ENUMERATE_LIMI
         raise ValueError("m must be >= 1")
     total = pl_map.count_solutions(m, sign=1)
     if total <= enumerate_limit:
-        divisors = {d for d in range(1, m + 1) if m % d == 0}
-        count = 0
-        for x in pl_map.solution_set(m, sign=1).points:
-            y = x
-            least = None
-            for step in range(1, m + 1):
-                y = pl_map(y)
-                if step in divisors and y == x:
-                    least = step
-                    break
-            count += least == m
+        points = pl_map.solution_set(m, sign=1).points
+        # every solution returns within m steps, at its least period
+        count = sum(len(orbit) == m for orbit in _cycles(pl_map, points, m))
     else:
         lower: set[Fraction] = set()
         for p in factorize(m).primes:
@@ -203,14 +225,8 @@ def symmetric_census(pl_map: PLMap, m: int) -> CensusCount:
     if not _is_odd_map(pl_map):
         raise ValueError("symmetric census needs an odd map on a symmetric domain")
     count = 0
-    for x in pl_map.solution_set(m, sign=-1).points:
-        orbit = [x]
-        y = pl_map(x)
-        while y != x and len(orbit) <= 2 * m:
-            orbit.append(y)
-            y = pl_map(y)
-        if y != x:
-            continue  # least period beyond 2m; cannot qualify
+    for orbit in _cycles(pl_map, pl_map.solution_set(m, sign=-1).points, 2 * m):
+        # numerators over one denominator negate like the points themselves
         if len(orbit) == 2 * m and {-z for z in orbit} == set(orbit):
             count += 1
     if count % (2 * m):

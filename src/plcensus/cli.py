@@ -16,11 +16,12 @@ import argparse
 import json
 import sys
 import time
+from fractions import Fraction
 
 from . import census, sequences
 from .exactnum import series_expand
 from .families import FamilyParams, MAP_FAMILIES
-from .plmap import DEFAULT_MAX_PIECES, InfiniteSolutions, PieceLimitError
+from .plmap import DEFAULT_MAX_PIECES, InfiniteSolutions, PieceLimitError, PLMap
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
@@ -85,14 +86,14 @@ def _build_map(args):
     if args.map == "custom":
         if not args.anchors:
             raise ValueError("--map custom needs --anchors like '0:0,1:1'")
+        if _seq_params(args):
+            raise ValueError(f"--map custom does not take: {', '.join(_seq_params(args))}")
         anchors = []
         for part in args.anchors.split(","):
+            if part.count(":") != 1:
+                raise ValueError(f"anchor {part!r} is not x:y")
             xs, ys = part.split(":")
-            from fractions import Fraction
-
             anchors.append((Fraction(xs), Fraction(ys)))
-        from .plmap import PLMap
-
         return PLMap(anchors)
     return FamilyParams(args.map, n=args.n, m=args.m, j=args.j).build()
 

@@ -123,4 +123,7 @@ class FamilyParams:
         missing = [a for a in names if getattr(self, a) is None]
         if missing:
             raise ValueError(f"family {self.family!r} needs parameters: {', '.join(missing)}")
+        extra = [a for a in ("n", "m", "j") if getattr(self, a) is not None and a not in names]
+        if extra:
+            raise ValueError(f"family {self.family!r} does not take: {', '.join(extra)}")
         return fn(*(getattr(self, a) for a in names))

@@ -152,10 +152,12 @@ class PLMap:
 
     Anchors may be ints, Fractions, or anything ``Fraction`` accepts.
     Instances are immutable; all operations are pure and safe to share
-    across threads (internal caches are append-only memos).
+    across threads (internal caches are append-only memos, and the iterate
+    memo ``_iterate``, the pieces of the last f^j built as an immutable
+    ``(j, tuple)``, is only ever replaced whole by one assignment).
     """
 
-    __slots__ = ("anchors", "_xs", "_ys", "_laps", "_markov")
+    __slots__ = ("anchors", "_xs", "_ys", "_laps", "_markov", "_iterate")
 
     def __init__(self, anchors):
         pts = [(Fraction(x), Fraction(y)) for x, y in anchors]
@@ -172,6 +174,7 @@ class PLMap:
         object.__setattr__(self, "_ys", [p[1] for p in pts])
         object.__setattr__(self, "_laps", None)
         object.__setattr__(self, "_markov", None)
+        object.__setattr__(self, "_iterate", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PLMap is immutable")
@@ -260,16 +263,20 @@ class PLMap:
         """The affine pieces of f^k, tiling the domain in ascending order.
 
         All endpoints are exact rationals.  Raises PieceLimitError as soon as
-        the piece list would exceed ``max_pieces``.
+        the piece list would exceed ``max_pieces``.  The build resumes from
+        the last iterate f^j built, when j <= k; piece counts never fall as
+        k grows, so the budget binds exactly where a fresh build's would.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
-        pieces = self.laps()
+        memo = self._iterate
+        j, pieces = memo if memo and memo[0] <= k else (1, self.laps())
         if len(pieces) > max_pieces:
             raise PieceLimitError(max_pieces, k)
-        for _ in range(k - 1):
+        for _ in range(k - j):
             pieces = self._compose_with_base(pieces, max_pieces, k)
-        return pieces
+        object.__setattr__(self, "_iterate", (k, tuple(pieces)))
+        return list(pieces)
 
     # -- Markov structure ---------------------------------------------------
 
@@ -501,5 +508,6 @@ class PLMap:
         method: str = "auto",
         max_pieces: int = DEFAULT_MAX_PIECES,
     ) -> list[int]:
-        """[count_solutions(k) for k = 1..K]; the matrix powers are shared."""
+        """[count_solutions(k) for k = 1..K]; the matrix powers are shared,
+        and the pieces engine resumes f^k from the pieces of f^(k-1)."""
         return [self.count_solutions(k, sign, method, max_pieces) for k in range(1, K + 1)]

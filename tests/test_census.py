@@ -2,7 +2,7 @@ import pytest
 from fractions import Fraction
 from math import isqrt, prod
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from plcensus.census import (
     CensusInvariantError,
@@ -19,8 +19,10 @@ from plcensus.census import (
     verify_congruence,
 )
 from plcensus.families import make_base_map, make_fmn, make_gn, make_hjmn, make_pn
-from plcensus.plmap import InfiniteSolutions
+from plcensus.plmap import InfiniteSolutions, PLMap
 from plcensus.sequences import seq_b, seq_s, spec_a, spec_c, spec_d, spec_s, terms
+
+F = Fraction
 
 
 # -- factorization ---------------------------------------------------------------
@@ -177,6 +179,66 @@ def test_census_modes_agree():
     for mp, top in ((make_base_map(), 8), (make_gn(2), 8), (make_hjmn(4, 3, 2), 6)):
         for m in range(1, top + 1):
             assert periodic_census(mp, m, enumerate_limit=10**9) == periodic_census(mp, m, enumerate_limit=0)
+
+
+@given(
+    st.lists(st.integers(1, 5), unique=True, max_size=4).map(lambda xs: [0, *sorted(xs), 6]).flatmap(
+        lambda xs: st.lists(st.integers(0, 4), min_size=len(xs), max_size=len(xs)).map(
+            lambda ys: [(F(x, 6), F(y, 4)) for x, y in zip(xs, ys)]
+        )
+    )
+)
+@example([(0, F(1, 4)), (F(1, 2), 1), (F(2, 3), 0), (1, F(1, 2))])
+@settings(max_examples=60, deadline=None)
+def test_census_matches_phi1_on_rational_maps(anchors):
+    # anchors off the integers: the census walks orbits in Fractions
+    mp = PLMap(anchors)
+    try:
+        counts = mp.count_sequence(4)
+        for m in range(1, 5):
+            assert periodic_census(mp, m).count == phi1(m, lambda k: counts[k - 1])
+    except InfiniteSolutions:
+        return
+
+
+def _nonflat(values):
+    return all(a != b for a, b in zip(values, values[1:]))
+
+
+@given(st.integers(-3, 1), st.integers(2, 5).flatmap(
+    lambda n: st.lists(st.integers(0, n), min_size=n + 1, max_size=n + 1).filter(_nonflat)
+))
+@settings(max_examples=40, deadline=None)
+def test_census_matches_phi1_on_integer_maps(lo, values):
+    # integer Markov maps: the census walks orbits as integer numerators
+    mp = PLMap([(lo + i, lo + v) for i, v in enumerate(values)])
+    try:
+        counts = [mp.count_solutions(k, method="markov") for k in range(1, 6)]
+    except InfiniteSolutions:
+        return
+    for m in range(1, 6):
+        want = phi1(m, lambda k: counts[k - 1])
+        for limit in (10**9, 0):
+            assert periodic_census(mp, m, enumerate_limit=limit).count == want
+
+
+@given(st.integers(2, 4).flatmap(
+    lambda n: st.lists(st.integers(-n, n), min_size=n, max_size=n).map(lambda vs: [0, *vs]).filter(_nonflat)
+))
+@example([0, 2, -1])
+@example([0, 2, 3, -1])
+@example([0, 2, 3, 4, -1])
+@settings(max_examples=40, deadline=None)
+def test_symmetric_census_matches_phi2_on_odd_maps(values):
+    # odd integer maps, the p_n family among them (the examples)
+    n = len(values) - 1
+    mp = PLMap([(x, values[x]) if x >= 0 else (x, -values[-x]) for x in range(-n, n + 1)])
+    try:
+        counts = [mp.count_solutions(k, sign=-1, method="markov") for k in range(1, 6)]
+    except InfiniteSolutions:
+        return
+    for m in range(1, 6):
+        assert symmetric_census(mp, m).count == phi2(m, lambda k: counts[k - 1])
 
 
 def test_census_infinite_propagates():

@@ -82,6 +82,25 @@ def test_count_missing_params(capsys):
     assert code == 2
 
 
+def test_count_rejects_params_the_map_does_not_take(capsys):
+    code, out, err = run(capsys, "count", "--map", "base2", "--n", "7", "--k", "2")
+    assert (code, out) == (2, "")
+    assert "family 'base2' does not take: n" in err
+    code, _, err = run(capsys, "count", "--map", "gn", "--n", "1", "--j", "3", "--k", "1")
+    assert code == 2 and "does not take: j" in err
+    for flag in ("--n", "--m", "--j"):
+        code, out, err = run(capsys, "count", "--map", "custom", "--anchors", "0:0,1:1", flag, "2", "--k", "1")
+        assert (code, out) == (2, "")
+        assert f"does not take: {flag[2:]}" in err
+
+
+def test_count_malformed_anchor(capsys):
+    for bad in ("0:0:1", "2", ""):
+        code, out, err = run(capsys, "count", "--map", "custom", "--anchors", f"{bad},1:2", "--k", "1")
+        assert (code, out) == (2, "")
+        assert f"anchor '{bad}' is not x:y" in err
+
+
 # -- verify ----------------------------------------------------------------------
 
 def test_verify_family_a(capsys):

@@ -115,3 +115,7 @@ def test_family_params_dispatch():
         FamilyParams("gn").build()
     with pytest.raises(ValueError):
         FamilyParams("nope", n=1).build()
+    with pytest.raises(ValueError, match="family 'base2' does not take: n"):
+        FamilyParams("base2", n=7).build()
+    with pytest.raises(ValueError, match="family 'pn' does not take: m, j"):
+        FamilyParams("pn", n=3, m=1, j=2).build()

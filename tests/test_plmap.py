@@ -133,6 +133,40 @@ def test_markov_enumeration_budget_matches_pieces(m):
                 m.solution_set(k, method=method, max_pieces=budget - 1)
 
 
+@pytest.mark.parametrize("make", [lambda: make_gn(1), make_base_map, lambda: PLMap([(0, 0), (F(1, 3), 1), (1, 0)])])
+def test_iterate_memo_matches_fresh_build(make):
+    fresh = {k: make().iterate_pieces(k) for k in range(1, 6)}
+    for j in range(1, 6):
+        for k in range(1, 6):
+            m = make()
+            m.iterate_pieces(j)
+            assert m.iterate_pieces(k) == fresh[k], (j, k)
+    m = make()
+    m.iterate_pieces(3).clear()
+    m.iterate_pieces(3).append(None)
+    assert m.iterate_pieces(3) == fresh[3]
+    assert m.iterate_pieces(4) == fresh[4]
+
+
+def test_iterate_memo_keeps_budget_boundary():
+    for k in range(1, 6):
+        m = make_gn(2)
+        size = len(m.iterate_pieces(5))
+        budget = len(make_gn(2).iterate_pieces(k))
+        # f^5 cached, k <= 5: the same boundary as a fresh map's
+        with pytest.raises(PieceLimitError) as exc:
+            m.iterate_pieces(k, max_pieces=budget - 1)
+        assert exc.value.k == k
+        assert len(m.iterate_pieces(k, max_pieces=budget)) == budget
+        # f^k cached: the cached iterate itself is over the budget
+        with pytest.raises(PieceLimitError):
+            m.iterate_pieces(k, max_pieces=budget - 1)
+        # resumed from f^k: the composition steps hit the budget
+        with pytest.raises(PieceLimitError):
+            m.iterate_pieces(5, max_pieces=size - 1)
+        assert len(m.iterate_pieces(5, max_pieces=size)) == size
+
+
 # -- counting and solution sets ----------------------------------------------
 
 def test_count_examples():
