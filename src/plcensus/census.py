@@ -16,8 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import prod
+from itertools import islice
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .plmap import PLMap
@@ -69,12 +68,16 @@ Accessor = Callable[[int], int]
 
 
 def _inclusion_exclusion(m: int, primes: Sequence[int], acc: Accessor) -> int:
-    """Sum over subsets T of ``primes`` of (-1)^|T| * acc(m / prod(T))."""
-    total = 0
-    for r in range(len(primes) + 1):
-        for combo in combinations(primes, r):
-            total += (-1) ** r * acc(m // prod(combo))
-    return total
+    """Sum over subsets T of ``primes`` of (-1)^|T| * acc(m / prod(T)).
+
+    Recurses on the first prime p: IE(m, ps) = IE(m, rest) - IE(m // p, rest),
+    so each of the 2^|primes| terms is fetched once and no term is ever
+    multiplied by a sign; the terms meet in 2^|primes| - 1 subtractions.
+    """
+    if not primes:
+        return acc(m)
+    rest = primes[1:]
+    return _inclusion_exclusion(m, rest, acc) - _inclusion_exclusion(m // primes[0], rest, acc)
 
 
 def phi1(m: int, phi: Accessor) -> int:
@@ -123,15 +126,13 @@ class CensusReport:
 
 def _congruence_reports(term_list: list[int], operator: str, K: int) -> list[CensusReport]:
     op, mod_factor = OPERATORS[operator]
-    acc = lambda k: term_list[k - 1]
+    acc = [None, *term_list].__getitem__
     out = []
     for k in range(1, K + 1):
         value = op(k, acc)
         modulus = mod_factor * k
-        ok = value % modulus == 0
-        out.append(
-            CensusReport(k, term_list[k - 1], operator, value, modulus, value // modulus if ok else None, ok)
-        )
+        quotient, rem = divmod(value, modulus)
+        out.append(CensusReport(k, term_list[k - 1], operator, value, modulus, None if rem else quotient, not rem))
     return out
 
 
@@ -252,14 +253,21 @@ class QRSFinding:
         }
 
 
+def _qrs_stream(n: int, q: int, r: int, s: int) -> Iterator[int]:
+    """The terms of ``qrs_terms`` without end."""
+    base = 2 * n + 1
+    a, b, c = base, base**2 - 2 * q, base**3 - 6 * r
+    yield a
+    yield b
+    while True:
+        yield c
+        a, b, c = b, c, base * c - q * b - s * a
+
+
 def qrs_terms(n: int, q: int, r: int, s: int, K: int) -> list[int]:
     """t_1 = 2n+1, t_2 = (2n+1)^2 - 2q, t_3 = (2n+1)^3 - 6r, then
     t_k = (2n+1)t_{k-1} - q*t_{k-2} - s*t_{k-3}."""
-    base = 2 * n + 1
-    t = [base, base**2 - 2 * q, base**3 - 6 * r]
-    while len(t) < K:
-        t.append(base * t[-1] - q * t[-2] - s * t[-3])
-    return t[:K]
+    return list(islice(_qrs_stream(n, q, r, s), K))
 
 
 def qrs_triple_for_c(j: int, m: int, n: int) -> tuple[int, int, int]:
@@ -277,7 +285,9 @@ def explore_qrs(
     K: int,
 ) -> list[QRSFinding]:
     """Check phi1(k, t) == 0 mod k for k <= K over a (q, r, s) grid of
-    generalized third-order sequences; failures are findings, not errors."""
+    generalized third-order sequences; failures are findings, not errors.
+    Each triple's terms are drawn one k at a time, only up to its first
+    failure."""
     if n < 2:
         raise ValueError("n must be >= 2")
     if K < 1:
@@ -286,9 +296,14 @@ def explore_qrs(
     for q in sorted(set(q_range)):
         for r in sorted(set(r_range)):
             for s in sorted(set(s_range)):
-                t = qrs_terms(n, q, r, s, K)
-                acc = lambda k: t[k - 1]
-                first = next((k for k in range(1, K + 1) if phi1(k, acc) % k != 0), None)
+                t = [None]
+                acc = t.__getitem__
+                first = None
+                for k, term in zip(range(1, K + 1), _qrs_stream(n, q, r, s)):
+                    t.append(term)
+                    if phi1(k, acc) % k:
+                        first = k
+                        break
                 findings.append(QRSFinding(q, r, s, first is None, first))
     return findings
 

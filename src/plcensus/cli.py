@@ -7,7 +7,7 @@ plus congruence sweep, or a conjecture explorer), and ``gfcheck``
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
 guard exceeded.  JSON is the default output format; all numbers are printed
-in full-precision decimal.
+in full-precision decimal, whatever their length.
 """
 
 from __future__ import annotations
@@ -334,6 +334,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # numbers are printed in full, past the default 4300-digit limit on
+    # int-to-str conversion; the caller's limit is back on return
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except PieceLimitError as exc:
@@ -342,6 +347,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

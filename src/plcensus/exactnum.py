@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import zip_longest
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 class ExactnessError(ArithmeticError):
@@ -119,9 +120,10 @@ def recurrence_eval(spec: RecurrenceSpec, K: int) -> list[int]:
             f"prefix has {len(prefix)} terms but the order-{spec.order} "
             "recurrence needs at least that many to continue"
         )
+    order, rev = spec.order, spec.coefficients[::-1]
     terms = list(prefix)
     for k in range(len(prefix), K):
-        terms.append(sum(c * terms[k - i] for i, c in enumerate(spec.coefficients, 1)))
+        terms.append(sum(map(mul, rev, terms[k - order : k])))
     return terms
 
 

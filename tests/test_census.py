@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from plcensus.census import (
     CensusInvariantError,
+    QRSFinding,
     explore_qrs,
     check_phi1_on_s,
     factorize,
@@ -20,7 +21,8 @@ from plcensus.census import (
 )
 from plcensus.families import make_base_map, make_fmn, make_gn, make_hjmn, make_pn
 from plcensus.plmap import InfiniteSolutions, PLMap
-from plcensus.sequences import seq_b, seq_s, spec_a, spec_c, spec_d, spec_s, terms
+from plcensus.exactnum import series_expand
+from plcensus.sequences import build_spec, seq_b, seq_s, spec_a, spec_c, spec_d, spec_s, terms
 
 F = Fraction
 
@@ -152,6 +154,45 @@ def test_report_serialization():
         "k": 1, "term": 3, "operator": "phi1", "value": 3,
         "modulus": 1, "quotient": 3, "pass": True,
     }
+
+
+def _moebius_rows(term_list, operator, K):
+    """The (k, term, value, modulus, quotient, passed) rows of a sweep, from
+    Moebius sums over the divisors and separate % and //."""
+    rows = []
+    for k in range(1, K + 1):
+        divisors = [d for d in range(1, k + 1) if k % d == 0]
+        if operator == "phi1":
+            value, modulus = sum(_mobius(d) * term_list[k // d - 1] for d in divisors), k
+        else:
+            odd_sum = sum(_mobius(d) * term_list[k // d - 1] for d in divisors if d % 2)
+            value, modulus = odd_sum - (k & (k - 1) == 0), 2 * k
+        passed = value % modulus == 0
+        rows.append((k, term_list[k - 1], value, modulus, value // modulus if passed else None, passed))
+    return rows
+
+
+@pytest.mark.parametrize("family, params, operator", [
+    ("a", {"n": 3}, "phi1"),
+    ("b", {"n": 2}, "phi1"),
+    ("c", {"j": 3, "m": 4, "n": 3}, "phi1"),
+    ("d", {"m": 2, "n": 3}, "phi1"),
+    ("s", {"n": 3}, "phi2"),
+    ("s", {"n": 3}, "phi1"),
+    # sweeps with failing rows, the power-of-two branch of phi2 among them
+    ("a", {"n": 3}, "phi2"),
+    ("d", {"m": -1, "n": 4}, "phi2"),
+])
+def test_sweep_rows_match_moebius_sums(family, params, operator):
+    K = 300
+    spec = build_spec(family, **params)
+    reports = verify_congruence(spec, operator, K)
+    rows = [(r.k, r.phi_value, r.value, r.modulus, r.quotient, r.passed) for r in reports]
+    # the terms come from the generating function, not the recurrence
+    assert rows == _moebius_rows(series_expand(spec.gf_num, spec.gf_den, K), operator, K)
+    assert {r.operator for r in reports} == {operator}
+    if operator == "phi2" and family != "s":
+        assert any(r.quotient is None and not r.passed for r in reports)
 
 
 # -- censuses ---------------------------------------------------------------------------
@@ -316,6 +357,27 @@ def test_explore_qrs_theorem_backed_triples():
         q, r, s = qrs_triple_for_c(j, m, 2)
         finding = explore_qrs(2, [q], [r], [s], 60)[0]
         assert finding.holds, (j, m)
+
+
+def _eager_first_failure(n, q, r, s, K):
+    t = qrs_terms(n, q, r, s, K)
+    for k in range(1, K + 1):
+        value = sum(_mobius(d) * t[k // d - 1] for d in range(1, k + 1) if k % d == 0)
+        if value % k:
+            return k
+    return None
+
+
+@given(st.integers(2, 5), st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9), st.integers(1, 200))
+@example(2, 1, 1, 1, 1)
+@example(2, 1, 1, 1, 2)
+@example(2, 1, 1, 1, 4)
+@example(2, 1, 1, 1, 5)  # first failure at k = K
+@example(2, 0, 0, 0, 200)  # holds through K
+@settings(max_examples=80, deadline=None)
+def test_explore_qrs_matches_eager_search(n, q, r, s, K):
+    first = _eager_first_failure(n, q, r, s, K)
+    assert explore_qrs(n, [q], [r], [s], K) == [QRSFinding(q, r, s, first is None, first)]
 
 
 def test_explore_qrs_grid_shape_and_order():

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -32,6 +33,27 @@ def test_seq_json_default(capsys):
     record = json.loads(out)
     assert record["terms"] == [[1, 3]]
     assert record["params"] == {"n": 3}
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
+def test_seq_prints_terms_past_the_str_digit_limit(capsys):
+    # d(0, 10^100) is t_k = 10^(100k); t_50 has 5001 digits
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, _ = run(capsys, "seq", "--family", "d", "--m", "0", "--n", str(10**100), "--k", "50", "--format", "csv")
+        assert sys.get_int_max_str_digits() == 4300  # the caller's limit is restored
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert code == 0
+    assert out.splitlines()[-1] == f"50,1{'0' * 5000}"
+
+
+def test_verify_prints_terms_past_the_str_digit_limit(capsys):
+    code, out, _ = run(capsys, "verify", "--family", "d", "--m", "0", "--n", str(10**100), "--K", "50")
+    assert code == 0
+    rows = json.loads(out, parse_int=str)["rows"]
+    assert rows[-1]["term"] == f"1{'0' * 5000}"
 
 
 def test_seq_bfile_matches_json_content(capsys):

@@ -2,7 +2,7 @@ import pytest
 from fractions import Fraction
 from math import gcd
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from plcensus.exactnum import (
     ExactnessError,
@@ -41,6 +41,26 @@ def test_recurrence_usage_errors():
     assert recurrence_eval(short, 1) == [1]  # prefix alone is fine
     with pytest.raises(ValueError):
         recurrence_eval(short, 2)  # cannot activate past the prefix
+
+
+def _naive_recurrence(order, coeffs, prefix, K):
+    t = list(prefix)
+    while len(t) < K:
+        t.append(sum(coeffs[i - 1] * t[-i] for i in range(1, order + 1)))
+    return t[:K]
+
+
+@given(st.integers(1, 4).flatmap(lambda order: st.tuples(
+    st.just(order),
+    st.lists(st.sampled_from((0, 1, -1)) | st.integers(-7, 7), min_size=order, max_size=order),
+    st.lists(st.integers(-50, 50), min_size=order, max_size=order + 5),
+    st.integers(1, 40),
+)))
+@settings(max_examples=150, deadline=None)
+def test_recurrence_matches_naive_loop(case):
+    order, coeffs, prefix, K = case
+    spec = RecurrenceSpec(order, tuple(coeffs), tuple(prefix))
+    assert recurrence_eval(spec, K) == _naive_recurrence(order, coeffs, prefix, K)
 
 
 def test_recurrence_spec_validation():
