@@ -5,11 +5,14 @@ least-period censuses, and the conjecture explorers.
 phi1(m, f) turns fixed-point counts f(k) = #{x : g^k(x) = x} into the exact
 number of points of least period m; phi2(m, f) does the same for symmetric
 periodic points of odd maps (least period 2m) from f(k) = #{x : g^k(x) = -x}.
-The censuses recompute those numbers by brute-force enumeration and orbit
-inspection, independently of the operators, which is what makes the
-congruence checks meaningful.  On maps with integer Markov data the orbits
-are walked in integers: f(a/b) = (s*a + t*b)/b on the unit interval holding
-a/b, so each orbit is a list of numerators over one fixed denominator b.
+The censuses recompute those numbers from exact solution sets, independently
+of the operators, which is what makes the congruence checks meaningful: the
+periodic census subtracts the union of the solution sets of f^(m/p)(x) = x
+from the number of solutions of f^m(x) = x, and the symmetric census walks
+the orbit of every solution of f^m(x) = -x.  On maps with integer Markov
+data those orbits are walked in integers: f(a/b) = (s*a + t*b)/b on the unit
+interval holding a/b, so each orbit is a list of numerators over one fixed
+denominator b.
 """
 
 from __future__ import annotations
@@ -151,12 +154,6 @@ class CensusCount(NamedTuple):
     orbit_count: int
 
 
-# above this many solutions of f^m(x) = x the census stops walking every
-# point and takes |S_m| minus the union of the proper-divisor solution sets
-# (the same number, computed on exact sets)
-ENUMERATE_LIMIT = 3000
-
-
 def _cycles(pl_map: PLMap, points: Iterable[Fraction], limit: int) -> Iterator[list]:
     """For each x in ``points``, its orbit x, f(x), ... up to the first
     return to x, or [] if it does not return within ``limit`` steps.
@@ -185,23 +182,21 @@ def _cycles(pl_map: PLMap, points: Iterable[Fraction], limit: int) -> Iterator[l
         yield orbit if a == a0 else []
 
 
-def periodic_census(pl_map: PLMap, m: int, enumerate_limit: int = ENUMERATE_LIMIT) -> CensusCount:
+def periodic_census(pl_map: PLMap, m: int) -> CensusCount:
     """Exact number of points of least period m, counted independently of
-    phi1: enumerate solutions of f^m(x) = x and determine each point's least
-    period over the divisors of m.  Returns (count, count // m); raises
-    CensusInvariantError if m does not divide the count."""
+    phi1: the solutions of f^m(x) = x less the union of the exact solution
+    sets of f^(m/p)(x) = x over the primes p | m, since a point of least
+    period d < m, d | m, has d | m/p for some such p.  Returns
+    (count, count // m); raises CensusInvariantError if m does not divide
+    the count."""
     if m < 1:
         raise ValueError("m must be >= 1")
+    # count first, so that a degenerate f^m raises InfiniteSolutions at k = m
     total = pl_map.count_solutions(m, sign=1)
-    if total <= enumerate_limit:
-        points = pl_map.solution_set(m, sign=1).points
-        # every solution returns within m steps, at its least period
-        count = sum(len(orbit) == m for orbit in _cycles(pl_map, points, m))
-    else:
-        lower: set[Fraction] = set()
-        for p in factorize(m).primes:
-            lower.update(pl_map.solution_set(m // p, sign=1).points)
-        count = total - len(lower)
+    lower: set[Fraction] = set()
+    for p in factorize(m).primes:
+        lower.update(pl_map.solution_set(m // p, sign=1).points)
+    count = total - len(lower)
     if count % m:
         raise CensusInvariantError(f"{count} least-period-{m} points, not divisible by {m}")
     return CensusCount(count, count // m)
@@ -218,18 +213,15 @@ def _is_odd_map(pl_map: PLMap) -> bool:
 
 def symmetric_census(pl_map: PLMap, m: int) -> CensusCount:
     """Exact number of symmetric periodic points of least period 2m of an
-    odd map: enumerate solutions of f^m(x) = -x, keep those whose orbit has
-    least period exactly 2m and equals its own negation.  Returns
-    (count, count // (2m))."""
+    odd map: walk the orbit of every solution of f^m(x) = -x and keep those
+    of least period exactly 2m.  Returns (count, count // (2m))."""
     if m < 1:
         raise ValueError("m must be >= 1")
     if not _is_odd_map(pl_map):
         raise ValueError("symmetric census needs an odd map on a symmetric domain")
-    count = 0
-    for orbit in _cycles(pl_map, pl_map.solution_set(m, sign=-1).points, 2 * m):
-        # numerators over one denominator negate like the points themselves
-        if len(orbit) == 2 * m and {-z for z in orbit} == set(orbit):
-            count += 1
+    points = pl_map.solution_set(m, sign=-1).points
+    # an orbit holds f^m(x) = -x and f^i(-x) = -f^i(x), so it is its own negation
+    count = sum(len(orbit) == 2 * m for orbit in _cycles(pl_map, points, 2 * m))
     if count % (2 * m):
         raise CensusInvariantError(f"{count} symmetric points, not divisible by {2 * m}")
     return CensusCount(count, count // (2 * m))

@@ -157,7 +157,7 @@ class PLMap:
     ``(j, tuple)``, is only ever replaced whole by one assignment).
     """
 
-    __slots__ = ("anchors", "_xs", "_ys", "_laps", "_markov", "_iterate")
+    __slots__ = ("anchors", "_xs", "_laps", "_markov", "_iterate")
 
     def __init__(self, anchors):
         pts = [(Fraction(x), Fraction(y)) for x, y in anchors]
@@ -171,7 +171,6 @@ class PLMap:
             raise ValueError(f"anchor values leave [{lo}, {hi}]; not a self-map")
         object.__setattr__(self, "anchors", tuple(pts))
         object.__setattr__(self, "_xs", xs)
-        object.__setattr__(self, "_ys", [p[1] for p in pts])
         object.__setattr__(self, "_laps", None)
         object.__setattr__(self, "_markov", None)
         object.__setattr__(self, "_iterate", None)
@@ -201,14 +200,8 @@ class PLMap:
         xs = self._xs
         if not (xs[0] <= x <= xs[-1]):
             raise DomainError(f"{x} outside the domain [{xs[0]}, {xs[-1]}]")
-        i = bisect_right(xs, x) - 1
-        if i == len(xs) - 1:
-            return self._ys[-1]
-        x0, y0 = self.anchors[i]
-        if x == x0:
-            return y0
-        x1, y1 = self.anchors[i + 1]
-        return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+        lap = self._lap_tuple()[self._lap_index_at(x)]
+        return lap.slope * x + lap.intercept
 
     def iterate(self, x, k: int) -> Fraction:
         """f^k(x) by k-fold evaluation."""
@@ -221,13 +214,16 @@ class PLMap:
 
     def laps(self) -> list[AffinePiece]:
         """The affine pieces of f itself, one per adjacent anchor pair."""
+        return list(self._lap_tuple())
+
+    def _lap_tuple(self) -> tuple[AffinePiece, ...]:
         if self._laps is None:
             out = []
             for (x0, y0), (x1, y1) in zip(self.anchors, self.anchors[1:]):
                 s = (y1 - y0) / (x1 - x0)
                 out.append(AffinePiece(x0, x1, s, y0 - s * x0))
             object.__setattr__(self, "_laps", tuple(out))
-        return list(self._laps)
+        return self._laps
 
     def _lap_index_at(self, v: Fraction) -> int:
         i = bisect_right(self._xs, v) - 1
@@ -247,13 +243,16 @@ class PLMap:
             else:
                 va, vb = p(p.lo), p(p.hi)
                 a, b = (va, vb) if va <= vb else (vb, va)
-                cuts = [(xs[i] - t) / s for i in range(bisect_right(xs, a), bisect_left(xs, b))]
+                # the image [a, b] crosses the anchors xs[i:j], so its
+                # sub-pieces lie on laps[i-1:j], in x order for a rising piece
+                i, j = bisect_right(xs, a), bisect_left(xs, b)
+                cuts = [(x - t) / s for x in xs[i:j]]
+                hit = laps[i - 1 : j]
                 if s < 0:
                     cuts.reverse()
+                    hit.reverse()
                 bounds = [p.lo, *cuts, p.hi]
-                for u, v in zip(bounds, bounds[1:]):
-                    mid = (p(u) + p(v)) / 2
-                    lap = laps[self._lap_index_at(mid)]
+                for u, v, lap in zip(bounds, bounds[1:], hit):
                     out.append(AffinePiece(u, v, lap.slope * s, lap.slope * t + lap.intercept))
             if len(out) > max_pieces:
                 raise PieceLimitError(max_pieces, k)

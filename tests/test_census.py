@@ -216,10 +216,19 @@ def test_symmetric_census_rejects_non_odd():
         symmetric_census(make_base_map(), 2)
 
 
-def test_census_modes_agree():
-    for mp, top in ((make_base_map(), 8), (make_gn(2), 8), (make_hjmn(4, 3, 2), 6)):
+def _least_period_count(mp, m):
+    """Slow reference: the solutions of f^m(x) = x whose orbit under k-fold
+    evaluation first returns at step m."""
+    proper = [d for d in range(1, m) if m % d == 0]
+    return sum(all(mp.iterate(x, d) != x for d in proper) for x in mp.solution_set(m).points)
+
+
+def test_periodic_census_matches_orbit_walk():
+    rational = PLMap([(0, F(1, 4)), (F(1, 2), 1), (F(2, 3), 0), (1, F(1, 2))])
+    for mp, top in ((make_base_map(), 8), (make_gn(2), 8), (make_hjmn(4, 3, 2), 6), (rational, 8)):
         for m in range(1, top + 1):
-            assert periodic_census(mp, m, enumerate_limit=10**9) == periodic_census(mp, m, enumerate_limit=0)
+            want = _least_period_count(mp, m)
+            assert periodic_census(mp, m) == (want, want // m), (mp, m)
 
 
 @given(
@@ -232,7 +241,7 @@ def test_census_modes_agree():
 @example([(0, F(1, 4)), (F(1, 2), 1), (F(2, 3), 0), (1, F(1, 2))])
 @settings(max_examples=60, deadline=None)
 def test_census_matches_phi1_on_rational_maps(anchors):
-    # anchors off the integers: the census walks orbits in Fractions
+    # anchors off the integers: the solution sets come from the pieces engine
     mp = PLMap(anchors)
     try:
         counts = mp.count_sequence(4)
@@ -251,16 +260,14 @@ def _nonflat(values):
 ))
 @settings(max_examples=40, deadline=None)
 def test_census_matches_phi1_on_integer_maps(lo, values):
-    # integer Markov maps: the census walks orbits as integer numerators
+    # integer Markov maps, against markov-engine counts
     mp = PLMap([(lo + i, lo + v) for i, v in enumerate(values)])
     try:
         counts = [mp.count_solutions(k, method="markov") for k in range(1, 6)]
     except InfiniteSolutions:
         return
     for m in range(1, 6):
-        want = phi1(m, lambda k: counts[k - 1])
-        for limit in (10**9, 0):
-            assert periodic_census(mp, m, enumerate_limit=limit).count == want
+        assert periodic_census(mp, m).count == phi1(m, lambda k: counts[k - 1])
 
 
 @given(st.integers(2, 4).flatmap(
@@ -283,8 +290,11 @@ def test_symmetric_census_matches_phi2_on_odd_maps(values):
 
 
 def test_census_infinite_propagates():
-    with pytest.raises(InfiniteSolutions):
-        periodic_census(make_hjmn(2, 5, 2), 2)
+    # raised by f^m itself, not by the solution set of a proper divisor
+    for m in (2, 4):
+        with pytest.raises(InfiniteSolutions) as exc:
+            periodic_census(make_hjmn(2, 5, 2), m)
+        assert exc.value.k == m
 
 
 def test_oracle_equivalence_counts():
