@@ -6,13 +6,13 @@ phi1(m, f) turns fixed-point counts f(k) = #{x : g^k(x) = x} into the exact
 number of points of least period m; phi2(m, f) does the same for symmetric
 periodic points of odd maps (least period 2m) from f(k) = #{x : g^k(x) = -x}.
 The censuses recompute those numbers from exact solution sets, independently
-of the operators, which is what makes the congruence checks meaningful: the
-periodic census subtracts the union of the solution sets of f^(m/p)(x) = x
-from the number of solutions of f^m(x) = x, and the symmetric census walks
-the orbit of every solution of f^m(x) = -x.  On maps with integer Markov
-data those orbits are walked in integers: f(a/b) = (s*a + t*b)/b on the unit
-interval holding a/b, so each orbit is a list of numerators over one fixed
-denominator b.
+of the operators, which is what makes the congruence checks meaningful.  Both
+follow one rule: with S_k the exact solution set of f^k(x) = sign*x, the
+count is |S_m| less the size of a union of subsets of S_m that holds every
+point of S_m whose least period falls short of the one counted (m for sign
++1, 2m for sign -1).  The periodic census takes the union of the S_(m/p)
+over the primes p | m; the symmetric census takes it over the odd primes
+p | m and adds the origin, which every odd map fixes.
 """
 
 from __future__ import annotations
@@ -154,32 +154,15 @@ class CensusCount(NamedTuple):
     orbit_count: int
 
 
-def _cycles(pl_map: PLMap, points: Iterable[Fraction], limit: int) -> Iterator[list]:
-    """For each x in ``points``, its orbit x, f(x), ... up to the first
-    return to x, or [] if it does not return within ``limit`` steps.
-
-    On a map with integer Markov data the orbit is a list of integer
-    numerators over x's denominator; elsewhere it is the exact Fraction walk.
-    """
-    md = pl_map._markov_data()
-    for x in points:
-        if md is None:
-            orbit, y = [x], pl_map(x)
-            while y != x and len(orbit) < limit:
-                orbit.append(y)
-                y = pl_map(y)
-            yield orbit if y == x else []
-            continue
-        lo, last, slopes, intercepts = md.lo, md.n - 1, md.slopes, md.intercepts
-        a0, b = x.numerator, x.denominator
-        orbit, a = [a0], a0
-        while True:
-            i = min(a // b - lo, last)
-            a = slopes[i] * a + intercepts[i] * b
-            if a == a0 or len(orbit) == limit:
-                break
-            orbit.append(a)
-        yield orbit if a == a0 else []
+def _least_period_count(pl_map: PLMap, m: int, sign: int, primes: Iterable[int], lower: set) -> int:
+    """|S_m| less |lower ∪ S_(m/p) for p in primes|, where S_k is the exact
+    solution set of f^k(x) = sign*x and ``lower`` (updated in place) and each
+    S_(m/p) lie in S_m."""
+    # count first, so that a degenerate f^m raises InfiniteSolutions at k = m
+    total = pl_map.count_solutions(m, sign=sign)
+    for p in primes:
+        lower.update(pl_map.solution_set(m // p, sign=sign).points)
+    return total - len(lower)
 
 
 def periodic_census(pl_map: PLMap, m: int) -> CensusCount:
@@ -191,12 +174,7 @@ def periodic_census(pl_map: PLMap, m: int) -> CensusCount:
     the count."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    # count first, so that a degenerate f^m raises InfiniteSolutions at k = m
-    total = pl_map.count_solutions(m, sign=1)
-    lower: set[Fraction] = set()
-    for p in factorize(m).primes:
-        lower.update(pl_map.solution_set(m // p, sign=1).points)
-    count = total - len(lower)
+    count = _least_period_count(pl_map, m, 1, factorize(m).primes, set())
     if count % m:
         raise CensusInvariantError(f"{count} least-period-{m} points, not divisible by {m}")
     return CensusCount(count, count // m)
@@ -213,15 +191,19 @@ def _is_odd_map(pl_map: PLMap) -> bool:
 
 def symmetric_census(pl_map: PLMap, m: int) -> CensusCount:
     """Exact number of symmetric periodic points of least period 2m of an
-    odd map: walk the orbit of every solution of f^m(x) = -x and keep those
-    of least period exactly 2m.  Returns (count, count // (2m))."""
+    odd map, counted independently of phi2: the solutions of f^m(x) = -x
+    less the origin and the union of the exact solution sets of
+    f^(m/p)(x) = -x over the odd primes p | m.  A solution x of least period
+    n < 2m has n | 2m; if n | m then x = -x, so x = 0; otherwise n = 2m' with
+    m/m' odd and > 1, and x solves f^(m/p)(x) = -x for each odd p | m/m'.
+    Returns (count, count // (2m)); raises CensusInvariantError if 2m does
+    not divide the count."""
     if m < 1:
         raise ValueError("m must be >= 1")
     if not _is_odd_map(pl_map):
         raise ValueError("symmetric census needs an odd map on a symmetric domain")
-    points = pl_map.solution_set(m, sign=-1).points
-    # an orbit holds f^m(x) = -x and f^i(-x) = -f^i(x), so it is its own negation
-    count = sum(len(orbit) == 2 * m for orbit in _cycles(pl_map, points, 2 * m))
+    odd = [p for p in factorize(m).primes if p != 2]
+    count = _least_period_count(pl_map, m, -1, odd, {Fraction(0)})
     if count % (2 * m):
         raise CensusInvariantError(f"{count} symmetric points, not divisible by {2 * m}")
     return CensusCount(count, count // (2 * m))

@@ -47,20 +47,6 @@ def format_bfile(term_list: list[int]) -> str:
     return "\n".join(f"{k} {v}" for k, v in enumerate(term_list, 1))
 
 
-def parse_bfile(text: str) -> list[int]:
-    """Inverse of format_bfile; validates 1-based ascending indices."""
-    terms = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        idx_s, val_s = line.split()
-        if int(idx_s) != len(terms) + 1:
-            raise ValueError(f"non-contiguous index {idx_s} in bfile")
-        terms.append(int(val_s))
-    return terms
-
-
 def cmd_seq(args) -> int:
     spec = sequences.build_spec(args.family, **_seq_params(args))
     term_list = sequences.terms(spec, args.k)

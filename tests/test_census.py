@@ -231,6 +231,55 @@ def test_periodic_census_matches_orbit_walk():
             assert periodic_census(mp, m) == (want, want // m), (mp, m)
 
 
+def _symmetric_period_count(mp, m):
+    """Slow reference: the solutions of f^m(x) = -x whose orbit under k-fold
+    evaluation first returns at step 2m."""
+    proper = [d for d in range(1, 2 * m) if 2 * m % d == 0]
+    return sum(all(mp.iterate(x, d) != x for d in proper) for x in mp.solution_set(m, sign=-1).points)
+
+
+def _odd_map(anchors):
+    """The odd map through the origin and the given anchors right of it."""
+    right = [(F(0), F(0)), *anchors]
+    return PLMap([(-x, -y) for x, y in reversed(right[1:])] + right)
+
+
+def _assert_symmetric_census_matches_orbit_walk(mp, top):
+    for m in range(1, top + 1):
+        try:
+            want = _symmetric_period_count(mp, m)
+        except InfiniteSolutions as exc:
+            with pytest.raises(InfiniteSolutions) as got:
+                symmetric_census(mp, m)
+            assert (got.value.k, got.value.sign) == (exc.k, exc.sign), (mp, m)
+            continue
+        assert symmetric_census(mp, m) == (want, want // (2 * m)), (mp, m)
+
+
+def test_symmetric_census_matches_orbit_walk():
+    integer = [[-2, 2], [2, -3, 1], [-3, 1, 3]]  # f(1), f(2), ...
+    for mp in (make_pn(2), make_pn(3), make_pn(4), *(_odd_map(list(enumerate(vs, 1))) for vs in integer)):
+        _assert_symmetric_census_matches_orbit_walk(mp, 6)
+
+
+@given(
+    st.lists(st.integers(1, 5), unique=True, max_size=3).map(lambda xs: [*sorted(xs), 6]).flatmap(
+        lambda xs: st.lists(st.integers(-4, 4), min_size=len(xs), max_size=len(xs)).map(
+            lambda ys: [(F(x, 6), F(y, 4)) for x, y in zip(xs, ys)]
+        )
+    )
+)
+@example([(F(1, 2), -1), (1, F(1, 2))])
+@example([(F(1, 6), F(3, 4)), (F(1, 2), 1), (1, F(-3, 4))])
+@example([(F(1, 3), 1), (F(5, 6), F(-1, 4)), (1, -1)])
+@example([(F(1, 6), 0), (F(1, 3), F(-3, 4)), (1, F(1, 4))])
+@example([(1, -1)])  # f = -x: f^k(x) = -x holds identically for odd k
+@settings(max_examples=25, deadline=None)
+def test_symmetric_census_matches_orbit_walk_on_rational_maps(anchors):
+    # odd maps on [-1, 1] with anchors in sixths and values in quarters
+    _assert_symmetric_census_matches_orbit_walk(_odd_map(anchors), 6)
+
+
 @given(
     st.lists(st.integers(1, 5), unique=True, max_size=4).map(lambda xs: [0, *sorted(xs), 6]).flatmap(
         lambda xs: st.lists(st.integers(0, 4), min_size=len(xs), max_size=len(xs)).map(
@@ -295,6 +344,12 @@ def test_census_infinite_propagates():
         with pytest.raises(InfiniteSolutions) as exc:
             periodic_census(make_hjmn(2, 5, 2), m)
         assert exc.value.k == m
+    # f = -x on [-1, 1], so f^k(x) = -x holds identically there for every odd k
+    odd = PLMap([(-2, -2), (-1, 1), (0, 0), (1, -1), (2, 2)])
+    for m in (3, 5):
+        with pytest.raises(InfiniteSolutions) as exc:
+            symmetric_census(odd, m)
+        assert (exc.value.k, exc.value.sign) == (m, -1)
 
 
 def test_oracle_equivalence_counts():

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from plcensus.cli import format_bfile, main, parse_bfile
+from plcensus.cli import main
 from plcensus.sequences import seq_c
 
 
@@ -71,8 +71,8 @@ def test_seq_usage_error(capsys):
 
 def test_bfile_round_trip(capsys):
     code, out, _ = run(capsys, "seq", "--family", "c", "--j", "3", "--m", "4", "--n", "2", "--k", "12", "--format", "bfile")
-    assert parse_bfile(out) == seq_c(3, 4, 2, 12)
-    assert parse_bfile(format_bfile([7, 8, 9])) == [7, 8, 9]
+    assert code == 0
+    assert out.splitlines() == [f"{k} {v}" for k, v in enumerate(seq_c(3, 4, 2, 12), 1)]
 
 
 # -- count -----------------------------------------------------------------------
