@@ -294,6 +294,8 @@ def check_phi1_on_s(n: int, K: int) -> list[CensusReport]:
 def oracle_congruence(pl_map: PLMap, operator: str, K: int) -> list[CensusReport]:
     """Congruence sweep with the accessor taken from the map itself:
     phi(k) = count of f^k(x) = x (phi1) or f^k(x) = -x (phi2)."""
+    if K < 1:
+        raise ValueError("K must be >= 1")
     if operator not in OPERATORS:
         raise ValueError("operator must be 'phi1' or 'phi2'")
     sign = 1 if operator == "phi1" else -1

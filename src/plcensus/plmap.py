@@ -13,8 +13,9 @@ Counting runs on one of two interchangeable engines:
   every map but the piece list grows exponentially with k.
 * ``markov`` applies to maps that send integers to integers and are therefore
   Markov over the unit-interval partition.  Diagonal crossings then biject
-  with closed walks of the transition graph, up to corrections for solutions
-  sitting on integer points, whose orbits are finite and cheap to inspect.
+  with closed walks of the transition graph, except that an integer solution
+  counts once in place of the closed walks continuing its one-sided
+  neighbourhoods, exactly one walk per side.
   This engine needs time polynomial in k.
 
 Both engines are exact and agree wherever both apply (the test suite checks
@@ -129,11 +130,6 @@ class _MarkovData:
     def total_walks(self, k: int) -> int:
         return sum(map(sum, self.power(k)))
 
-    def nbr(self, q: int) -> list[int]:
-        """Indices of the unit intervals containing the integer q."""
-        j = q - self.lo
-        return [i for i in (j - 1, j) if 0 <= i < self.n]
-
     def mirror(self, j: int) -> int | None:
         """Index of -I_j = [-(lo+j+1), -(lo+j)], or None if it falls outside
         the partition (solutions of f^k(x) = -x cannot land there)."""
@@ -142,9 +138,6 @@ class _MarkovData:
 
     def target(self, j: int, sign: int) -> int | None:
         return j if sign == 1 else self.mirror(j)
-
-    def f_int(self, p: int) -> int:
-        return self.values[p - self.lo]
 
 
 class PLMap:
@@ -342,91 +335,60 @@ class PLMap:
                     sols.add(x)
         return sols
 
-    def _markov_check_finite(self, md: _MarkovData, k: int, sign: int) -> None:
-        """Detect words on which f^k equals sign*x identically: closed (or
-        mirror-closed) walks staying in unit intervals of slope +-1 whose
-        slope product is sign."""
-        unit = [j for j in range(md.n) if abs(md.slopes[j]) == 1]
-        if not unit:
-            return
-        A = md.A
-        for j0 in unit:
-            target = md.target(j0, sign)
-            if target is None:
-                continue
-            frontier = {(j0, 1)}
-            for _ in range(k):
-                nxt = set()
-                for j, prod in frontier:
-                    if abs(md.slopes[j]) != 1:
-                        continue
-                    prod2 = prod * md.slopes[j]
-                    row = A[j]
-                    for j2 in range(md.n):
-                        if row[j2]:
-                            nxt.add((j2, prod2))
-                frontier = nxt
-                if not frontier:
-                    break
-            if (target, sign) in frontier:
-                lo = Fraction(md.lo + j0)
-                raise InfiniteSolutions(lo, lo + 1, k, sign)
+    def _int_solutions(self, md: _MarkovData, k: int, sign: int) -> tuple[list[int], int]:
+        """The integer solutions p of f^k(p) = sign*p, and the number of closed
+        walks counted by A^k whose solution is one of them.
 
-    def _int_solutions(self, md: _MarkovData, k: int, sign: int) -> list[int]:
-        out = []
-        for p in range(md.lo, md.lo + md.n + 1):
+        f is affine with a nonzero integer slope on each unit interval, so a
+        one-sided neighbourhood of an integer q maps to one side of f(q),
+        the other side where the slope is negative.  Exactly one length-k
+        word continues the neighbourhood on side s0 of p, and it is a closed
+        walk of A^k iff it ends on side sign*s0 of f^k(p).  The slopes of a
+        closed walk multiply to +-1 only if each is +-1, and then f^k =
+        sign*x on the unit interval [p, p+s0], which raises
+        InfiniteSolutions; walking p upwards, left side first, makes that
+        interval the lowest such one.
+        """
+        lo, hi, values, slopes = md.lo, md.lo + md.n, md.values, md.slopes
+        ints, overlap = [], 0
+        for p in range(lo, hi + 1):
             q = p
             for _ in range(k):
-                q = md.f_int(q)
-            if q == sign * p:
-                out.append(p)
-        return out
-
-    def _walks_containing(self, md: _MarkovData, p: int, k: int, sign: int) -> int:
-        """Number of admissible length-k words whose closed piece contains the
-        integer point p and whose diagonal solution is p itself."""
-        layers = []
-        q = p
-        for _ in range(k):
-            layers.append(md.nbr(q))
-            q = md.f_int(q)
-        A = md.A
-        count = 0
-        for j0 in layers[0]:
-            target = md.target(j0, sign)
-            if target is None:
+                q = values[q - lo]
+            if q != sign * p:
                 continue
-            cur = {j0: 1}
-            for layer in layers[1:]:
-                nxt: dict[int, int] = {}
-                for j, c in cur.items():
-                    row = A[j]
-                    for j2 in layer:
-                        if row[j2]:
-                            nxt[j2] = nxt.get(j2, 0) + c
-                cur = nxt
-                if not cur:
-                    break
-            count += sum(c for j, c in cur.items() if A[j][target])
-        return count
+            ints.append(p)
+            for s0 in (-1, 1):
+                if not lo <= p + s0 <= hi:
+                    continue
+                q, s, unit = p, s0, True
+                for _ in range(k):
+                    slope = slopes[q - lo - (s < 0)]
+                    unit = unit and abs(slope) == 1
+                    if slope < 0:
+                        s = -s
+                    q = values[q - lo]
+                if s == sign * s0:
+                    if unit:
+                        a = Fraction(p - (s0 < 0))
+                        raise InfiniteSolutions(a, a + 1, k, sign)
+                    overlap += 1
+        return ints, overlap
 
     def _markov_count(self, md: _MarkovData, k: int, sign: int) -> int:
-        self._markov_check_finite(md, k, sign)
+        ints, overlap = self._int_solutions(md, k, sign)
         Ak = md.power(k)
         total = 0
         for j in range(md.n):
             target = md.target(j, sign)
             if target is not None:
                 total += Ak[j][target]
-        ints = self._int_solutions(md, k, sign)
-        overlap = sum(self._walks_containing(md, p, k, sign) for p in ints)
         return total - overlap + len(ints)
 
     def _markov_enumerate(self, md: _MarkovData, k: int, sign: int, max_pieces: int) -> set[Fraction]:
         """Walk every admissible word; each length-k word is one piece of f^k,
         so the words count against the same budget as the pieces engine."""
-        self._markov_check_finite(md, k, sign)
-        sols = {Fraction(p) for p in self._int_solutions(md, k, sign)}
+        sols = {Fraction(p) for p in self._int_solutions(md, k, sign)[0]}
         A, slopes, intercepts, n = md.A, md.slopes, md.intercepts, md.n
         words = 0
         for j0 in range(n):
@@ -442,7 +404,7 @@ class PLMap:
                     if words > max_pieces:
                         raise PieceLimitError(max_pieces, k)
                     if A[j][target]:
-                        # the finite check above rules out s == sign here
+                        # the integer-orbit walk of _int_solutions has raised if s == sign
                         x = Fraction(t, sign - s)
                         if x.denominator != 1:
                             sols.add(x)

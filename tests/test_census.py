@@ -5,7 +5,6 @@ from math import isqrt, prod
 from hypothesis import example, given, settings, strategies as st
 
 from plcensus.census import (
-    CensusInvariantError,
     QRSFinding,
     explore_qrs,
     check_phi1_on_s,
@@ -22,7 +21,7 @@ from plcensus.census import (
 from plcensus.families import make_base_map, make_fmn, make_gn, make_hjmn, make_pn
 from plcensus.plmap import InfiniteSolutions, PLMap
 from plcensus.exactnum import series_expand
-from plcensus.sequences import build_spec, seq_b, seq_s, spec_a, spec_c, spec_d, spec_s, terms
+from plcensus.sequences import build_spec, seq_b, seq_s, spec_a, spec_d, spec_s, terms
 
 F = Fraction
 
@@ -377,13 +376,24 @@ def test_inclusion_exclusion_self_consistency():
 
 
 def test_map_oracle_divisibility_to_300():
-    # phi1 of the oracle counts is divisible by m well past the prefix region
-    for mp in (make_gn(1), make_base_map(), make_fmn(2, 5), make_hjmn(3, 4, 2), make_pn(2)):
+    # phi1 of the oracle counts is divisible by m well past the prefix region,
+    # and the counts are the sequence terms there, where orbits of integer
+    # points wrap and their correction matters most
+    phi1_cases = [
+        (make_gn(1), build_spec("b", n=1)),
+        (make_base_map(), build_spec("a", n=3)),
+        (make_fmn(2, 5), build_spec("a", n=5)),
+        (make_hjmn(3, 4, 2), build_spec("c", j=3, m=4, n=2)),
+        (make_pn(2), build_spec("a", n=4)),
+    ]
+    for mp, spec in phi1_cases:
         reports = oracle_congruence(mp, "phi1", 300)
         assert all(r.passed for r in reports)
+        assert [r.phi_value for r in reports] == terms(spec, 300), spec
     for n in (2, 3):
         reports = oracle_congruence(make_pn(n), "phi2", 100)
         assert all(r.passed for r in reports)
+        assert [r.phi_value for r in reports] == terms(spec_s(n), 100), n
 
 
 def test_census_usage_errors():
@@ -391,6 +401,9 @@ def test_census_usage_errors():
         periodic_census(make_gn(1), 0)
     with pytest.raises(ValueError):
         symmetric_census(make_pn(2), 0)
+    for K in (0, -3):
+        with pytest.raises(ValueError, match="K must be >= 1"):
+            oracle_congruence(make_gn(1), "phi1", K)
 
 
 # -- explorers ---------------------------------------------------------------------------

@@ -248,21 +248,31 @@ ALL_SMALL_MAPS = [
 ]
 
 
+def assert_engines_agree(m, k, sign):
+    """Both engines give the same count and solution set of f^k(x) = sign*x,
+    or both raise InfiniteSolutions with the same witness, k and sign.
+    Returns the solution points, none when the engines raised."""
+    try:
+        a = m.count_solutions(k, sign=sign, method="pieces")
+    except InfiniteSolutions as e:
+        for solve in (m.count_solutions, m.solution_set):
+            with pytest.raises(InfiniteSolutions) as info:
+                solve(k, sign=sign, method="markov")
+            got = info.value
+            assert (got.witness, got.k, got.sign) == (e.witness, e.k, e.sign), (m, k, sign)
+        return ()
+    assert a == m.count_solutions(k, sign=sign, method="markov"), (m, k, sign)
+    pts = m.solution_set(k, sign=sign, method="markov").points
+    assert m.solution_set(k, sign=sign, method="pieces").points == pts, (m, k, sign)
+    return pts
+
+
 def test_markov_engine_equals_pieces_engine():
+    # hjmn(3, 2, 2) has f^2 = x on [1, 2] and on [5, 6]; the witness is [1, 2]
     for m in ALL_SMALL_MAPS:
         for k in range(1, 6):
-            signs = (1, -1) if m.domain[0] < 0 else (1,)
-            for sign in signs:
-                try:
-                    a = m.count_solutions(k, sign=sign, method="pieces")
-                except InfiniteSolutions:
-                    with pytest.raises(InfiniteSolutions):
-                        m.count_solutions(k, sign=sign, method="markov")
-                    continue
-                assert a == m.count_solutions(k, sign=sign, method="markov")
-                sa = m.solution_set(k, sign=sign, method="pieces").points
-                sb = m.solution_set(k, sign=sign, method="markov").points
-                assert sa == sb
+            for sign in (1, -1) if m.domain[0] < 0 else (1,):
+                assert_engines_agree(m, k, sign)
 
 
 def test_markov_engine_rejects_non_markov():
@@ -287,16 +297,7 @@ def test_markov_engine_equals_pieces_engine_random_maps(data):
     m = PLMap([(lo + i, vals[i]) for i in range(n + 1)])
     k = data.draw(st.integers(1, 5))
     sign = data.draw(st.sampled_from([1, -1])) if lo <= 0 <= hi else 1
-    try:
-        a = m.count_solutions(k, sign=sign, method="pieces")
-    except InfiniteSolutions:
-        with pytest.raises(InfiniteSolutions):
-            m.count_solutions(k, sign=sign, method="markov")
-        return
-    assert a == m.count_solutions(k, sign=sign, method="markov")
-    pts = m.solution_set(k, sign=sign, method="markov").points
-    assert m.solution_set(k, sign=sign, method="pieces").points == pts
-    for x in pts:
+    for x in assert_engines_agree(m, k, sign):
         assert m.iterate(x, k) == sign * x
 
 
@@ -306,12 +307,7 @@ def test_markov_engine_asymmetric_domain_sign_minus():
     asym = PLMap([(-1, 3), (0, -1), (1, 2), (2, 0), (3, 1)])
     for k in range(1, 6):
         for sign in (1, -1):
-            a = asym.count_solutions(k, sign=sign, method="pieces")
-            b = asym.count_solutions(k, sign=sign, method="markov")
-            assert a == b, (k, sign, a, b)
-            sa = asym.solution_set(k, sign=sign, method="pieces").points
-            sb = asym.solution_set(k, sign=sign, method="markov").points
-            assert sa == sb, (k, sign)
+            assert_engines_agree(asym, k, sign)
 
 
 # -- transition matrix ---------------------------------------------------------
