@@ -90,9 +90,10 @@ class SolutionSet:
 
 class _MarkovData:
     """Unit-partition view of an integer map: values at integers, slopes per
-    unit interval, transition matrix, and a growing cache of its powers."""
+    unit interval, transition matrix, and the last power A^j computed, kept
+    as an immutable ``(j, A^j)`` memo."""
 
-    __slots__ = ("lo", "values", "slopes", "intercepts", "A", "counting_ok", "_pows")
+    __slots__ = ("lo", "values", "slopes", "intercepts", "A", "counting_ok", "_power")
 
     def __init__(self, lo: int, values: list[int]):
         self.lo = lo
@@ -114,30 +115,31 @@ class _MarkovData:
         # zero slopes break the walk/piece correspondence; the matrix itself
         # is still well defined
         self.counting_ok = all(s != 0 for s in self.slopes)
-        self._pows = [self.A]
+        self._power = (1, self.A)
 
     @property
     def n(self) -> int:
         return len(self.values) - 1
 
     def power(self, k: int) -> list[list[int]]:
+        """A^k, resumed from the memo A^j when j <= k and from A otherwise."""
         from .exactnum import _mat_mul
 
-        while len(self._pows) < k:
-            self._pows.append(_mat_mul(self._pows[-1], self.A))
-        return self._pows[k - 1]
-
-    def total_walks(self, k: int) -> int:
-        return sum(map(sum, self.power(k)))
-
-    def mirror(self, j: int) -> int | None:
-        """Index of -I_j = [-(lo+j+1), -(lo+j)], or None if it falls outside
-        the partition (solutions of f^k(x) = -x cannot land there)."""
-        j2 = -2 * self.lo - j - 1
-        return j2 if 0 <= j2 < self.n else None
+        memo = self._power
+        j, Aj = memo if memo[0] <= k else (1, self.A)
+        for _ in range(k - j):
+            Aj = _mat_mul(Aj, self.A)
+        self._power = (k, Aj)
+        return Aj
 
     def target(self, j: int, sign: int) -> int | None:
-        return j if sign == 1 else self.mirror(j)
+        """Index j for sign = 1; for sign = -1 the index of -I_j =
+        [-(lo+j+1), -(lo+j)], or None if it falls outside the partition
+        (solutions of f^k(x) = -x cannot land there)."""
+        if sign == 1:
+            return j
+        j2 = -2 * self.lo - j - 1
+        return j2 if 0 <= j2 < self.n else None
 
 
 class PLMap:
@@ -145,9 +147,10 @@ class PLMap:
 
     Anchors may be ints, Fractions, or anything ``Fraction`` accepts.
     Instances are immutable; all operations are pure and safe to share
-    across threads (internal caches are append-only memos, and the iterate
-    memo ``_iterate``, the pieces of the last f^j built as an immutable
-    ``(j, tuple)``, is only ever replaced whole by one assignment).
+    across threads.  Every internal memo is an immutable value that one
+    assignment replaces whole: the laps, the Markov data, the last iterate
+    f^j built as ``(j, pieces)`` and, inside the Markov data, the last
+    matrix power as ``(j, A^j)``.
     """
 
     __slots__ = ("anchors", "_xs", "_laps", "_markov", "_iterate")
@@ -205,10 +208,6 @@ class PLMap:
 
     # -- symbolic pieces ----------------------------------------------------
 
-    def laps(self) -> list[AffinePiece]:
-        """The affine pieces of f itself, one per adjacent anchor pair."""
-        return list(self._lap_tuple())
-
     def _lap_tuple(self) -> tuple[AffinePiece, ...]:
         if self._laps is None:
             out = []
@@ -226,7 +225,7 @@ class PLMap:
         """Pieces of f∘g from the pieces of g: split each piece of g at the
         exact preimages of this map's anchor x's, then compose lap by lap."""
         xs = self._xs
-        laps = self.laps()
+        laps = self._lap_tuple()
         out: list[AffinePiece] = []
         for p in pieces:
             s, t = p.slope, p.intercept
@@ -243,7 +242,7 @@ class PLMap:
                 hit = laps[i - 1 : j]
                 if s < 0:
                     cuts.reverse()
-                    hit.reverse()
+                    hit = hit[::-1]
                 bounds = [p.lo, *cuts, p.hi]
                 for u, v, lap in zip(bounds, bounds[1:], hit):
                     out.append(AffinePiece(u, v, lap.slope * s, lap.slope * t + lap.intercept))
@@ -262,7 +261,7 @@ class PLMap:
         if k < 1:
             raise ValueError("k must be >= 1")
         memo = self._iterate
-        j, pieces = memo if memo and memo[0] <= k else (1, self.laps())
+        j, pieces = memo if memo and memo[0] <= k else (1, self._lap_tuple())
         if len(pieces) > max_pieces:
             raise PieceLimitError(max_pieces, k)
         for _ in range(k - j):
@@ -317,7 +316,7 @@ class PLMap:
             return "markov"
         if method != "auto":
             raise ValueError("method must be 'auto', 'pieces', or 'markov'")
-        if usable and md.total_walks(k) > AUTO_PIECE_THRESHOLD:
+        if usable and sum(map(sum, md.power(k))) > AUTO_PIECE_THRESHOLD:
             return "markov"
         return "pieces"
 
@@ -347,9 +346,18 @@ class PLMap:
         closed walk multiply to +-1 only if each is +-1, and then f^k =
         sign*x on the unit interval [p, p+s0], which raises
         InfiniteSolutions; walking p upwards, left side first, makes that
-        interval the lowest such one.
+        interval the lowest such one.  The witness widens it upwards to the
+        piece of f^k holding it, as the pieces engine reports it: that piece
+        ends at the first integer b whose orbit b, ..., f^(k-1)(b) meets an
+        anchor x, the only cuts the pieces engine makes there.
         """
         lo, hi, values, slopes = md.lo, md.lo + md.n, md.values, md.slopes
+
+        def orbit(q: int):
+            for _ in range(k):
+                yield q
+                q = values[q - lo]
+
         ints, overlap = [], 0
         for p in range(lo, hi + 1):
             q = p
@@ -370,8 +378,11 @@ class PLMap:
                     q = values[q - lo]
                 if s == sign * s0:
                     if unit:
-                        a = Fraction(p - (s0 < 0))
-                        raise InfiniteSolutions(a, a + 1, k, sign)
+                        a = p - (s0 < 0)
+                        b, anchors = a + 1, {int(x) for x in self._xs}
+                        while b < hi and anchors.isdisjoint(orbit(b)):
+                            b += 1
+                        raise InfiniteSolutions(Fraction(a), Fraction(b), k, sign)
                     overlap += 1
         return ints, overlap
 
@@ -469,6 +480,6 @@ class PLMap:
         method: str = "auto",
         max_pieces: int = DEFAULT_MAX_PIECES,
     ) -> list[int]:
-        """[count_solutions(k) for k = 1..K]; the matrix powers are shared,
-        and the pieces engine resumes f^k from the pieces of f^(k-1)."""
+        """[count_solutions(k) for k = 1..K]; each engine resumes from its last
+        iterate, A^(k-1) or the pieces of f^(k-1)."""
         return [self.count_solutions(k, sign, method, max_pieces) for k in range(1, K + 1)]

@@ -1,3 +1,7 @@
+import sys
+import threading
+import tracemalloc
+
 import pytest
 from fractions import Fraction
 
@@ -294,11 +298,75 @@ def test_markov_engine_equals_pieces_engine_random_maps(data):
             lambda vs: all(a != b for a, b in zip(vs, vs[1:]))
         )
     )
-    m = PLMap([(lo + i, vals[i]) for i in range(n + 1)])
+    # dropping an interior anchor whose neighbours are collinear with it keeps
+    # the map but removes a cut the pieces engine makes
+    drop = data.draw(st.lists(st.booleans(), min_size=n + 1, max_size=n + 1))
+    keep = [
+        i for i in range(n + 1)
+        if not (0 < i < n and drop[i] and vals[i] - vals[i - 1] == vals[i + 1] - vals[i])
+    ]
+    m = PLMap([(lo + i, vals[i]) for i in keep])
     k = data.draw(st.integers(1, 5))
     sign = data.draw(st.sampled_from([1, -1])) if lo <= 0 <= hi else 1
     for x in assert_engines_agree(m, k, sign):
         assert m.iterate(x, k) == sign * x
+
+
+def test_markov_witness_spans_the_pieces_engine_piece():
+    # one lap over several unit intervals: f = x, and f^2 = x for f = 3 - x,
+    # hold on all of [0, 3], which both engines report as one witness; f = -x
+    # is cut only at the anchor 1, not where -x is the anchor 1 (at x = -1)
+    cases = [
+        (PLMap([(0, 0), (3, 3)]), 1, 1, (0, 3)),
+        (PLMap([(0, 3), (3, 0)]), 2, 1, (0, 3)),
+        (PLMap([(-3, 3), (1, -1), (3, -3)]), 1, -1, (-3, 1)),
+    ]
+    for m, k, sign, witness in cases:
+        for method in ("pieces", "markov"):
+            for solve in (m.count_solutions, m.solution_set):
+                with pytest.raises(InfiniteSolutions) as info:
+                    solve(k, sign=sign, method=method)
+                assert info.value.witness == witness, (m, method)
+
+
+def test_markov_engine_is_thread_safe():
+    # threads sharing one map race on its memos; a memo changed in place
+    # would hand some thread another k's matrix power
+    ks = range(1, 41)
+    serial = [make_hjmn(3, 4, 3).count_solutions(k, method="markov") for k in ks]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            m = make_hjmn(3, 4, 3)
+            barrier = threading.Barrier(4, timeout=30)
+            got = [None] * 4
+
+            def work(i):
+                barrier.wait()
+                got[i] = [m.count_solutions(k, method="markov") for k in ks]
+
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert got == [serial] * 4
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_markov_count_keeps_one_matrix_power():
+    # the count keeps one matrix power, not A^1..A^k: O(k) digits, not O(k^2)
+    m = make_hjmn(3, 4, 3)
+    tracemalloc.start()
+    try:
+        m.count_solutions(300, method="markov")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * 2**20
 
 
 def test_markov_engine_asymmetric_domain_sign_minus():
