@@ -20,8 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
+from .exactnum import RecurrenceSpec, _recurrence_stream
 from .plmap import PLMap
 from .sequences import SequenceSpec, terms
 
@@ -31,22 +32,11 @@ class CensusInvariantError(RuntimeError):
     wrong (or the map violates the finiteness hypothesis undetected)."""
 
 
-@dataclass(frozen=True)
-class FactoredInt:
-    """A positive integer with its sorted prime factorization."""
+def factorize(m: int) -> tuple[tuple[int, int], ...]:
+    """Complete prime factorization by trial division, as sorted
+    (prime, exponent) pairs; factorize(1) is empty.
 
-    value: int
-    factors: tuple[tuple[int, int], ...]
-
-    @property
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
-
-
-def factorize(m: int) -> FactoredInt:
-    """Complete prime factorization by trial division; factorize(1) is empty.
-
-    >>> factorize(12).factors
+    >>> factorize(12)
     ((2, 2), (3, 1))
     """
     if m < 1:
@@ -64,37 +54,38 @@ def factorize(m: int) -> FactoredInt:
         f += 1 if f == 2 else 2
     if rem > 1:
         factors.append((rem, 1))
-    return FactoredInt(m, tuple(factors))
+    return tuple(factors)
 
 
 Accessor = Callable[[int], int]
 
 
-def _inclusion_exclusion(m: int, primes: Sequence[int], acc: Accessor) -> int:
-    """Sum over subsets T of ``primes`` of (-1)^|T| * acc(m / prod(T)).
+def _inclusion_exclusion(m: int, pairs: Sequence[tuple[int, int]], acc: Accessor) -> int:
+    """Sum over subsets T of the primes of ``pairs``, (prime, exponent)
+    pairs as ``factorize`` returns them, of (-1)^|T| * acc(m / prod(T)).
 
     Recurses on the first prime p: IE(m, ps) = IE(m, rest) - IE(m // p, rest),
-    so each of the 2^|primes| terms is fetched once and no term is ever
-    multiplied by a sign; the terms meet in 2^|primes| - 1 subtractions.
+    so each of the 2^|pairs| terms is fetched once and no term is ever
+    multiplied by a sign; the terms meet in 2^|pairs| - 1 subtractions.
     """
-    if not primes:
+    if not pairs:
         return acc(m)
-    rest = primes[1:]
-    return _inclusion_exclusion(m, rest, acc) - _inclusion_exclusion(m // primes[0], rest, acc)
+    rest = pairs[1:]
+    return _inclusion_exclusion(m, rest, acc) - _inclusion_exclusion(m // pairs[0][0], rest, acc)
 
 
 def phi1(m: int, phi: Accessor) -> int:
     """Inclusion-exclusion over the distinct primes of m:
     sum over subsets T of (-1)^|T| * phi(m / prod(T)); phi1(1, .) = phi(1).
     Raises ValueError for m < 1 (through factorize)."""
-    return _inclusion_exclusion(m, factorize(m).primes, phi)
+    return _inclusion_exclusion(m, factorize(m), phi)
 
 
 def phi2(m: int, psi: Accessor) -> int:
     """Like phi1 but over the distinct odd primes of m (the power of two in
     m stays fixed); for m a power of two, including m = 1, it is psi(m) - 1
     (discounting the origin, which every odd map fixes)."""
-    odd = [p for p in factorize(m).primes if p != 2]
+    odd = [pair for pair in factorize(m) if pair[0] != 2]
     if not odd:
         return psi(m) - 1
     return _inclusion_exclusion(m, odd, psi)
@@ -174,7 +165,7 @@ def periodic_census(pl_map: PLMap, m: int) -> CensusCount:
     the count."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    count = _least_period_count(pl_map, m, 1, factorize(m).primes, set())
+    count = _least_period_count(pl_map, m, 1, [p for p, _ in factorize(m)], set())
     if count % m:
         raise CensusInvariantError(f"{count} least-period-{m} points, not divisible by {m}")
     return CensusCount(count, count // m)
@@ -202,7 +193,7 @@ def symmetric_census(pl_map: PLMap, m: int) -> CensusCount:
         raise ValueError("m must be >= 1")
     if not _is_odd_map(pl_map):
         raise ValueError("symmetric census needs an odd map on a symmetric domain")
-    odd = [p for p in factorize(m).primes if p != 2]
+    odd = [p for p, _ in factorize(m) if p != 2]
     count = _least_period_count(pl_map, m, -1, odd, {Fraction(0)})
     if count % (2 * m):
         raise CensusInvariantError(f"{count} symmetric points, not divisible by {2 * m}")
@@ -227,21 +218,16 @@ class QRSFinding:
         }
 
 
-def _qrs_stream(n: int, q: int, r: int, s: int) -> Iterator[int]:
-    """The terms of ``qrs_terms`` without end."""
+def _qrs_recurrence(n: int, q: int, r: int, s: int) -> RecurrenceSpec:
+    """The recurrence of ``qrs_terms``."""
     base = 2 * n + 1
-    a, b, c = base, base**2 - 2 * q, base**3 - 6 * r
-    yield a
-    yield b
-    while True:
-        yield c
-        a, b, c = b, c, base * c - q * b - s * a
+    return RecurrenceSpec((base, -q, -s), (base, base**2 - 2 * q, base**3 - 6 * r))
 
 
 def qrs_terms(n: int, q: int, r: int, s: int, K: int) -> list[int]:
     """t_1 = 2n+1, t_2 = (2n+1)^2 - 2q, t_3 = (2n+1)^3 - 6r, then
     t_k = (2n+1)t_{k-1} - q*t_{k-2} - s*t_{k-3}."""
-    return list(islice(_qrs_stream(n, q, r, s), K))
+    return list(islice(_recurrence_stream(_qrs_recurrence(n, q, r, s)), K))
 
 
 def qrs_triple_for_c(j: int, m: int, n: int) -> tuple[int, int, int]:
@@ -273,7 +259,8 @@ def explore_qrs(
                 t = [None]
                 acc = t.__getitem__
                 first = None
-                for k, term in zip(range(1, K + 1), _qrs_stream(n, q, r, s)):
+                stream = _recurrence_stream(_qrs_recurrence(n, q, r, s))
+                for k, term in zip(range(1, K + 1), stream):
                     t.append(term)
                     if phi1(k, acc) % k:
                         first = k

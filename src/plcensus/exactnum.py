@@ -8,10 +8,11 @@ polynomials.  No floating point anywhere: rationals are stdlib
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from itertools import zip_longest
+from itertools import islice, zip_longest
 from operator import mul
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 class ExactnessError(ArithmeticError):
     """A computation would have required leaving the integers."""
@@ -83,7 +84,8 @@ def _as_poly(p: PolyLike) -> Poly:
 
 @dataclass(frozen=True)
 class RecurrenceSpec:
-    """Linear recurrence t_k = sum_i coefficients[i-1] * t_{k-i}.
+    """Linear recurrence t_k = sum_i coefficients[i-1] * t_{k-i}, of order
+    ``len(coefficients)``.
 
     ``initial_terms`` is the explicit starting segment (it may be longer than
     the order when early terms follow closed-form rules instead of the
@@ -91,40 +93,42 @@ class RecurrenceSpec:
     indexed from 1.
     """
 
-    order: int
     coefficients: tuple[int, ...]
     initial_terms: tuple[int, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "coefficients", tuple(self.coefficients))
         object.__setattr__(self, "initial_terms", tuple(self.initial_terms))
-        if self.order < 1:
+        if not self.coefficients:
             raise ValueError("recurrence order must be >= 1")
-        if len(self.coefficients) != self.order:
-            raise ValueError("need exactly `order` coefficients")
+
+
+def _recurrence_stream(spec: RecurrenceSpec) -> Iterator[int]:
+    """The terms t_1, t_2, ... without end: the prefix, then the recurrence
+    over a sliding window of the last len(coefficients) terms."""
+    prefix, rev = spec.initial_terms, spec.coefficients[::-1]
+    yield from prefix
+    if len(prefix) < len(rev):
+        raise ValueError(
+            f"prefix has {len(prefix)} terms but the order-{len(rev)} "
+            "recurrence needs at least that many to continue"
+        )
+    window = deque(prefix, len(rev))
+    while True:
+        t = sum(map(mul, rev, window))
+        window.append(t)
+        yield t
 
 
 def recurrence_eval(spec: RecurrenceSpec, K: int) -> list[int]:
     """Terms t_1 .. t_K of the recurrence.
 
-    >>> recurrence_eval(RecurrenceSpec(2, (3, -1), (3, 7)), 4)
+    >>> recurrence_eval(RecurrenceSpec((3, -1), (3, 7)), 4)
     [3, 7, 18, 47]
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    prefix = spec.initial_terms
-    if K <= len(prefix):
-        return list(prefix[:K])
-    if len(prefix) < spec.order:
-        raise ValueError(
-            f"prefix has {len(prefix)} terms but the order-{spec.order} "
-            "recurrence needs at least that many to continue"
-        )
-    order, rev = spec.order, spec.coefficients[::-1]
-    terms = list(prefix)
-    for k in range(len(prefix), K):
-        terms.append(sum(map(mul, rev, terms[k - order : k])))
-    return terms
+    return list(islice(_recurrence_stream(spec), K))
 
 
 def series_expand(numerator: PolyLike, denominator: PolyLike, K: int) -> list[int]:

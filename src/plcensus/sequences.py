@@ -34,12 +34,12 @@ S3_NOTE = (
 
 @dataclass(frozen=True)
 class SequenceSpec:
-    """A named sequence: family tag, parameters, closed-form prefix,
-    recurrence, and generating function numerator/denominator."""
+    """A named sequence: family tag, parameters, recurrence (its initial
+    terms are the closed-form prefix), and generating function
+    numerator/denominator."""
 
     family: str
     params: tuple[tuple[str, int], ...]
-    prefix: tuple[int, ...]
     recurrence: RecurrenceSpec
     gf_num: Poly
     gf_den: Poly
@@ -56,10 +56,10 @@ def spec_a(n: int) -> SequenceSpec:
     if n < 3:
         raise ValueError("n must be >= 3")
     prefix = [2 ** (k + 1) - 1 for k in range(1, n)]
-    rec = RecurrenceSpec(n - 1, (3,) + (-1,) * (n - 2), tuple(prefix))
+    rec = RecurrenceSpec((3,) + (-1,) * (n - 2), prefix)
     num = Poly([0, 3] + [-k for k in range(2, n)])
     den = Poly([1, -3] + [1] * (n - 2))
-    return SequenceSpec("a", (("n", n),), tuple(prefix), rec, num, den)
+    return SequenceSpec("a", (("n", n),), rec, num, den)
 
 
 def spec_b(n: int) -> SequenceSpec:
@@ -78,10 +78,10 @@ def spec_b(n: int) -> SequenceSpec:
     coeffs[1] = 3
     for lag in range(4, 4 * n + 1, 2):
         coeffs[lag - 1] = -1
-    rec = RecurrenceSpec(4 * n, tuple(coeffs), tuple(prefix))
+    rec = RecurrenceSpec(coeffs, prefix)
     num = Poly([0, 1] + [(-1) ** k * k for k in range(2, 2 * n + 1)])
     den = Poly([1, -1] + [-((-1) ** k) for k in range(2, 2 * n + 1)])
-    return SequenceSpec("b", (("n", n),), tuple(prefix), rec, num, den)
+    return SequenceSpec("b", (("n", n),), rec, num, den)
 
 
 def spec_c(j: int, m: int, n: int) -> SequenceSpec:
@@ -100,10 +100,10 @@ def spec_c(j: int, m: int, n: int) -> SequenceSpec:
         top**2 - 2 * (2 * n - w),
         top**3 - 6 * n * (top - w),
     )
-    rec = RecurrenceSpec(3, (top, -(2 * n - w), -w), prefix)
+    rec = RecurrenceSpec((top, -(2 * n - w), -w), prefix)
     num = Poly([0, top, -2 * (2 * n - w), -3 * w])
     den = Poly([1, -top, 2 * n - w, w])
-    return SequenceSpec("c", (("j", j), ("m", m), ("n", n)), prefix, rec, num, den)
+    return SequenceSpec("c", (("j", j), ("m", m), ("n", n)), rec, num, den)
 
 
 def spec_d(m: int, n: int) -> SequenceSpec:
@@ -113,10 +113,10 @@ def spec_d(m: int, n: int) -> SequenceSpec:
     if not (1 - n <= m <= n):
         raise ValueError("m must satisfy 1-n <= m <= n")
     prefix = (n, n * n + 2 * m)
-    rec = RecurrenceSpec(2, (n, m), prefix)
+    rec = RecurrenceSpec((n, m), prefix)
     num = Poly([0, n, 2 * m])
     den = Poly([1, -n, -m])
-    return SequenceSpec("d", (("m", m), ("n", n)), prefix, rec, num, den)
+    return SequenceSpec("d", (("m", m), ("n", n)), rec, num, den)
 
 
 def _s_prefix(n: int) -> list[int]:
@@ -147,11 +147,7 @@ def _s_numerator_formula(n: int, drop_degree: int | None = None) -> Poly:
 def _numerator_from_terms(terms: list[int], den: Poly, degree: int) -> Poly:
     """trunc(S(z) * D(z)) through the given degree, where S has the supplied
     coefficients on z^1.. and zero constant term."""
-    s = [0] + list(terms)
-    out = [0] * (degree + 1)
-    for d in range(degree + 1):
-        out[d] = sum(s[i] * den[d - i] for i in range(min(d, len(s) - 1) + 1))
-    return Poly(out)
+    return Poly((Poly([0, *terms]) * den).coeffs[: degree + 1])
 
 
 def spec_s(n: int) -> SequenceSpec:
@@ -165,7 +161,7 @@ def spec_s(n: int) -> SequenceSpec:
     if n < 2:
         raise ValueError("n must be >= 2")
     prefix = _s_prefix(n)
-    rec = RecurrenceSpec(2 * n - 1, (3,) + (-1,) * (2 * n - 2), tuple(prefix))
+    rec = RecurrenceSpec((3,) + (-1,) * (2 * n - 2), prefix)
     den = Poly([1, -3] + [1] * (2 * n - 2))
     note = None
     if n in (2, 3):
@@ -173,7 +169,7 @@ def spec_s(n: int) -> SequenceSpec:
         note = S2_NOTE if n == 2 else S3_NOTE
     else:
         num = _s_numerator_formula(n)
-    return SequenceSpec("s", (("n", n),), tuple(prefix), rec, num, den, note)
+    return SequenceSpec("s", (("n", n),), rec, num, den, note)
 
 
 def terms(spec: SequenceSpec, K: int) -> list[int]:

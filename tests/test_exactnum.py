@@ -18,26 +18,26 @@ from plcensus.exactnum import (
 
 def test_recurrence_a3_prefix_and_tail():
     # prefix 3, 7 from the closed form 2^{k+1} - 1, then t_k = 3t_{k-1} - t_{k-2}
-    spec = RecurrenceSpec(2, (3, -1), (3, 7))
+    spec = RecurrenceSpec((3, -1), (3, 7))
     assert recurrence_eval(spec, 4) == [3, 7, 18, 47]
 
 
 def test_recurrence_identity():
-    spec = RecurrenceSpec(1, (1,), (5,))
+    spec = RecurrenceSpec((1,), (5,))
     assert recurrence_eval(spec, 3) == [5, 5, 5]
 
 
 def test_recurrence_lucas_like_b1():
     # rule-generated prefix 1, 3, 4, 7 then t_k = 3t_{k-2} - t_{k-4}
-    spec = RecurrenceSpec(4, (0, 3, 0, -1), (1, 3, 4, 7))
+    spec = RecurrenceSpec((0, 3, 0, -1), (1, 3, 4, 7))
     assert recurrence_eval(spec, 6) == [1, 3, 4, 7, 11, 18]
 
 
 def test_recurrence_usage_errors():
-    spec = RecurrenceSpec(2, (3, -1), (3, 7))
+    spec = RecurrenceSpec((3, -1), (3, 7))
     with pytest.raises(ValueError):
         recurrence_eval(spec, 0)
-    short = RecurrenceSpec(3, (1, 1, 1), (1,))
+    short = RecurrenceSpec((1, 1, 1), (1,))
     assert recurrence_eval(short, 1) == [1]  # prefix alone is fine
     with pytest.raises(ValueError):
         recurrence_eval(short, 2)  # cannot activate past the prefix
@@ -59,15 +59,13 @@ def _naive_recurrence(order, coeffs, prefix, K):
 @settings(max_examples=150, deadline=None)
 def test_recurrence_matches_naive_loop(case):
     order, coeffs, prefix, K = case
-    spec = RecurrenceSpec(order, tuple(coeffs), tuple(prefix))
+    spec = RecurrenceSpec(tuple(coeffs), tuple(prefix))
     assert recurrence_eval(spec, K) == _naive_recurrence(order, coeffs, prefix, K)
 
 
 def test_recurrence_spec_validation():
     with pytest.raises(ValueError):
-        RecurrenceSpec(0, (), (1,))
-    with pytest.raises(ValueError):
-        RecurrenceSpec(2, (1,), (1, 2))
+        RecurrenceSpec((), (1,))
 
 
 # -- series_expand -----------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from plcensus.exactnum import Poly, charpoly
 from plcensus.families import make_base_map, make_fmn, make_gn, make_hjmn, make_pn
 from plcensus.plmap import (
+    DEFAULT_MAX_PIECES,
     AffinePiece,
     DomainError,
     InfiniteSolutions,
@@ -87,7 +88,11 @@ def _assert_tiling(pl_map, pieces):
 
 
 def test_tiling_and_composition_soundness():
-    for m in (make_base_map(), make_gn(1), make_gn(2), make_fmn(2, 5), make_pn(2)):
+    # the last two maps have flat laps, first and between sloped ones, whose
+    # images the composition carries to the next piece
+    flat_first = PLMap([(0, F(1, 2)), (F(1, 3), F(1, 2)), (F(2, 3), 1), (1, 0)])
+    flat_inner = PLMap([(0, 1), (F(1, 4), 0), (F(1, 2), 0), (F(3, 4), 1), (1, F(1, 3))])
+    for m in (make_base_map(), make_gn(1), make_gn(2), make_fmn(2, 5), make_pn(2), flat_first, flat_inner):
         for k in (1, 2, 3, 4):
             pieces = m.iterate_pieces(k)
             _assert_tiling(m, pieces)
@@ -125,6 +130,19 @@ def test_piece_limit_guard():
     # auto picks markov here; its enumeration walks one word per piece of f^k
     with pytest.raises(PieceLimitError):
         make_gn(1).solution_set(22, max_pieces=1000)
+
+
+def test_default_piece_budget_bounds_memory():
+    # at the measured peak per piece, a build of the default budget's size
+    # stays under 512 MiB
+    m = make_gn(1)
+    tracemalloc.start()
+    try:
+        size = len(m.iterate_pieces(18))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / size * DEFAULT_MAX_PIECES <= 2**29
 
 
 @pytest.mark.parametrize("m", [make_gn(1), make_gn(2), make_base_map()], ids=["g1", "g2", "base"])
@@ -331,28 +349,41 @@ def test_markov_witness_spans_the_pieces_engine_piece():
 
 def test_markov_engine_is_thread_safe():
     # threads sharing one map race on its memos; a memo changed in place
-    # would hand some thread another k's matrix power
-    ks = range(1, 41)
-    serial = [make_hjmn(3, 4, 3).count_solutions(k, method="markov") for k in ks]
+    # would hand some thread another k's matrix power or iterate
+    def markov(m):
+        return [m.count_solutions(k, method="markov") for k in range(1, 41)]
+
+    def pieces(m):
+        return [
+            (m.count_solutions(k, method="pieces"), m.solution_set(k, method="pieces"))
+            for k in range(1, 9)
+        ]
+
+    inputs = [
+        (lambda: make_hjmn(3, 4, 3), markov),
+        (lambda: PLMap([(0, F(1, 4)), (F(1, 2), 1), (F(2, 3), 0), (1, F(1, 2))]), pieces),
+    ]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(5):
-            m = make_hjmn(3, 4, 3)
-            barrier = threading.Barrier(4, timeout=30)
-            got = [None] * 4
+        for make, solve in inputs:
+            serial = solve(make())
+            for _ in range(5):
+                m = make()
+                barrier = threading.Barrier(4, timeout=30)
+                got = [None] * 4
 
-            def work(i):
-                barrier.wait()
-                got[i] = [m.count_solutions(k, method="markov") for k in ks]
+                def work(i):
+                    barrier.wait()
+                    got[i] = solve(m)
 
-            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-            assert not any(t.is_alive() for t in threads)
-            assert got == [serial] * 4
+                threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert got == [serial] * 4
     finally:
         sys.setswitchinterval(interval)
 

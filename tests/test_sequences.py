@@ -108,7 +108,7 @@ def test_s_general_formula_used_for_n_ge_4():
         assert sp.gf_num == _s_numerator_formula(n)
         assert sp.note is None
         # and it is the numerator the terms force
-        assert _numerator_from_terms(list(sp.prefix), sp.gf_den, 2 * n - 1) == sp.gf_num
+        assert _numerator_from_terms(sp.recurrence.initial_terms, sp.gf_den, 2 * n - 1) == sp.gf_num
 
 
 def all_test_specs():
@@ -162,7 +162,7 @@ def test_oracle_agreement_small_grid():
 
 def test_build_spec_dispatch():
     assert build_spec("a", n=3).label == "a(n=3)"
-    assert build_spec("c", j=2, m=5, n=2).prefix == (5, 11, 29)
+    assert build_spec("c", j=2, m=5, n=2).recurrence.initial_terms == (5, 11, 29)
     with pytest.raises(ValueError):
         build_spec("a")
     with pytest.raises(ValueError):
