@@ -17,12 +17,10 @@ p | m and adds the origin, which every odd map fixes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .exactnum import RecurrenceSpec, _recurrence_stream
+from .exactnum import RecurrenceSpec, _recurrence_stream, recurrence_eval
 from .plmap import PLMap
 from .sequences import SequenceSpec, terms
 
@@ -94,8 +92,7 @@ def phi2(m: int, psi: Accessor) -> int:
 OPERATORS = {"phi1": (phi1, 1), "phi2": (phi2, 2)}
 
 
-@dataclass(frozen=True)
-class CensusReport:
+class CensusReport(NamedTuple):
     """Per-k verification record for a congruence sweep."""
 
     k: int
@@ -152,7 +149,7 @@ def _least_period_count(pl_map: PLMap, m: int, sign: int, primes: Iterable[int],
     # count first, so that a degenerate f^m raises InfiniteSolutions at k = m
     total = pl_map.count_solutions(m, sign=sign)
     for p in primes:
-        lower.update(pl_map.solution_set(m // p, sign=sign).points)
+        lower.update(pl_map.solution_set(m // p, sign=sign))
     return total - len(lower)
 
 
@@ -200,8 +197,7 @@ def symmetric_census(pl_map: PLMap, m: int) -> CensusCount:
     return CensusCount(count, count // (2 * m))
 
 
-@dataclass(frozen=True)
-class QRSFinding:
+class QRSFinding(NamedTuple):
     q: int
     r: int
     s: int
@@ -227,7 +223,7 @@ def _qrs_recurrence(n: int, q: int, r: int, s: int) -> RecurrenceSpec:
 def qrs_terms(n: int, q: int, r: int, s: int, K: int) -> list[int]:
     """t_1 = 2n+1, t_2 = (2n+1)^2 - 2q, t_3 = (2n+1)^3 - 6r, then
     t_k = (2n+1)t_{k-1} - q*t_{k-2} - s*t_{k-3}."""
-    return list(islice(_recurrence_stream(_qrs_recurrence(n, q, r, s)), K))
+    return recurrence_eval(_qrs_recurrence(n, q, r, s), K)
 
 
 def qrs_triple_for_c(j: int, m: int, n: int) -> tuple[int, int, int]:

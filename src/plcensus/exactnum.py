@@ -9,10 +9,9 @@ polynomials.  No floating point anywhere: rationals are stdlib
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import islice, zip_longest
 from operator import mul
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 class ExactnessError(ArithmeticError):
     """A computation would have required leaving the integers."""
@@ -82,25 +81,33 @@ def _as_poly(p: PolyLike) -> Poly:
     return p if isinstance(p, Poly) else Poly(p)
 
 
-@dataclass(frozen=True)
-class RecurrenceSpec:
+class _RecurrenceFields(NamedTuple):
+    coefficients: tuple[int, ...]
+    initial_terms: tuple[int, ...]
+
+
+class RecurrenceSpec(_RecurrenceFields):
     """Linear recurrence t_k = sum_i coefficients[i-1] * t_{k-i}, of order
     ``len(coefficients)``.
 
     ``initial_terms`` is the explicit starting segment (it may be longer than
     the order when early terms follow closed-form rules instead of the
     recurrence); the recurrence takes over immediately after it.  Terms are
-    indexed from 1.
+    indexed from 1.  Both fields are stored as tuples.
     """
 
-    coefficients: tuple[int, ...]
-    initial_terms: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "coefficients", tuple(self.coefficients))
-        object.__setattr__(self, "initial_terms", tuple(self.initial_terms))
-        if not self.coefficients:
+    def __new__(cls, coefficients: Iterable[int], initial_terms: Iterable[int]):
+        coefficients = tuple(coefficients)
+        if not coefficients:
             raise ValueError("recurrence order must be >= 1")
+        return super().__new__(cls, coefficients, tuple(initial_terms))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> RecurrenceSpec:
+        # _replace builds through _make, which would skip the checks above
+        return cls(*iterable)
 
 
 def _recurrence_stream(spec: RecurrenceSpec) -> Iterator[int]:

@@ -9,7 +9,7 @@ unspecified spans; ``hjmn`` and ``pn`` pin every integer of their domains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .plmap import PLMap
 
@@ -106,8 +106,7 @@ _BUILDERS = {
 MAP_FAMILIES = tuple(_BUILDERS)
 
 
-@dataclass(frozen=True)
-class FamilyParams:
+class FamilyParams(NamedTuple):
     """A map family tag plus its integer parameters; the CLI's map
     selection vocabulary."""
 

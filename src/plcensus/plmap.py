@@ -29,8 +29,8 @@ it is 10,063 at k = 4, where f^4 has 1,633 pieces.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 # a piece takes about 550 bytes, so a build within the default stays near 275 MB
 DEFAULT_MAX_PIECES = 500_000
@@ -69,8 +69,7 @@ class InfiniteSolutions(Exception):
         super().__init__(f"f^{k}(x) = {rhs} holds identically on [{lo}, {hi}]")
 
 
-@dataclass(frozen=True)
-class AffinePiece:
+class AffinePiece(NamedTuple):
     """One affine lap of an iterate: x -> slope*x + intercept on [lo, hi]."""
 
     lo: Fraction
@@ -82,15 +81,22 @@ class AffinePiece:
         return self.slope * x + self.intercept
 
 
-@dataclass(frozen=True)
-class SolutionSet:
-    """Exact, sorted solution set of f^k(x) = sign*x.  An equation that
-    holds on a whole interval raises InfiniteSolutions instead."""
+class SolutionSet(tuple):
+    """Exact, sorted solution set of f^k(x) = sign*x: a tuple of its points,
+    also read as ``points``.  An equation that holds on a whole interval
+    raises InfiniteSolutions instead."""
 
-    points: tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __len__(self) -> int:
-        return len(self.points)
+    def __new__(cls, points):
+        return super().__new__(cls, points)
+
+    @property
+    def points(self) -> tuple[Fraction, ...]:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"SolutionSet(points={tuple(self)!r})"
 
 
 class _MarkovData:
@@ -480,7 +486,7 @@ class PLMap:
         Raises PieceLimitError when more than ``max_pieces`` pieces (or, on
         the ``markov`` engine, transition words) would be walked.
         """
-        return SolutionSet(tuple(sorted(self._solve(k, sign, method, max_pieces, count=False))))
+        return SolutionSet(sorted(self._solve(k, sign, method, max_pieces, count=False)))
 
     def count_sequence(
         self,

@@ -17,7 +17,7 @@ Correspondence with the map families (fixed-point counts of iterates):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exactnum import Poly, RecurrenceSpec, recurrence_eval
 
@@ -32,8 +32,7 @@ S3_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class SequenceSpec:
+class SequenceSpec(NamedTuple):
     """A named sequence: family tag, parameters, recurrence (its initial
     terms are the closed-form prefix), and generating function
     numerator/denominator."""

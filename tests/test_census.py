@@ -417,6 +417,12 @@ def test_qrs_terms_examples():
     assert qrs_terms(2, q, r, s, 10) == seq_c(2, 5, 2, 10)
 
 
+@pytest.mark.parametrize("K", [0, -1])
+def test_qrs_terms_rejects_K_below_1(K):
+    with pytest.raises(ValueError, match="K must be >= 1"):
+        qrs_terms(2, 1, 1, 1, K)
+
+
 def test_explore_qrs_fermat_like():
     finding = explore_qrs(2, [0], [0], [0], 60)[0]
     assert finding.holds and finding.first_failure is None

@@ -64,7 +64,7 @@ def test_recurrence_matches_naive_loop(case):
 
 
 def test_recurrence_spec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="recurrence order must be >= 1"):
         RecurrenceSpec((), (1,))
 
 
