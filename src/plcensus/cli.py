@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import census, sequences
 from .exactnum import series_expand
-from .families import FamilyParams, MAP_FAMILIES
+from .families import _BUILDERS, FamilyParams, MAP_FAMILIES
 from .plmap import DEFAULT_MAX_PIECES, InfiniteSolutions, PieceLimitError, PLMap
 
 USAGE_ERROR = 2
@@ -39,16 +39,12 @@ def _parse_range(text: str) -> list[int]:
     return [int(text)]
 
 
-def _seq_params(args) -> dict:
-    return {k: getattr(args, k) for k in ("j", "m", "n") if getattr(args, k) is not None}
-
-
 def format_bfile(term_list: list[int]) -> str:
     return "\n".join(f"{k} {v}" for k, v in enumerate(term_list, 1))
 
 
 def cmd_seq(args) -> int:
-    spec = sequences.build_spec(args.family, **_seq_params(args))
+    spec = sequences.build_spec(args.family, j=args.j, m=args.m, n=args.n)
     term_list = sequences.terms(spec, args.k)
     if args.format == "bfile":
         print(format_bfile(term_list))
@@ -68,20 +64,23 @@ def cmd_seq(args) -> int:
     return 0
 
 
-def _build_map(args):
+def _custom_map(text: str) -> PLMap:
+    """The map through the anchors of '0:0,1:2,2:0'."""
+    anchors = []
+    for part in text.split(","):
+        if part.count(":") != 1:
+            raise ValueError(f"anchor {part!r} is not x:y")
+        xs, ys = part.split(":")
+        anchors.append((Fraction(xs), Fraction(ys)))
+    return PLMap(anchors)
+
+
+def _build_map(args) -> PLMap:
+    # --map custom takes only --anchors; a family map takes no --anchors
+    params = {"n": args.n, "m": args.m, "j": args.j, "anchors": args.anchors}
     if args.map == "custom":
-        if not args.anchors:
-            raise ValueError("--map custom needs --anchors like '0:0,1:1'")
-        if _seq_params(args):
-            raise ValueError(f"--map custom does not take: {', '.join(_seq_params(args))}")
-        anchors = []
-        for part in args.anchors.split(","):
-            if part.count(":") != 1:
-                raise ValueError(f"anchor {part!r} is not x:y")
-            xs, ys = part.split(":")
-            anchors.append((Fraction(xs), Fraction(ys)))
-        return PLMap(anchors)
-    return FamilyParams(args.map, n=args.n, m=args.m, j=args.j).build()
+        return sequences._build("map", {"custom": (_custom_map, ("anchors",))}, "custom", params)
+    return sequences._build("family", _BUILDERS, args.map, params)
 
 
 def cmd_count(args) -> int:
@@ -180,49 +179,51 @@ def _emit_rows(record: dict, fmt: str) -> None:
         print(json.dumps(record))
 
 
+def _qrs(n: int, q: str, r: str, s: str, K: int):
+    findings = census.explore_qrs(n, _parse_range(q), _parse_range(r), _parse_range(s), K)
+    return [f.to_dict() for f in findings], next((f.to_dict() for f in findings if not f.holds), None)
+
+
+def _phi1_on_s(n: int, K: int):
+    reports = census.check_phi1_on_s(n, K)
+    return [r.to_dict() for r in reports], next((r.k for r in reports if not r.passed), None)
+
+
+_CONJECTURES = {
+    # conjecture -> (explorer returning (rows, first failure), the flags it takes)
+    "qrs": (_qrs, ("n", "q", "r", "s", "K")),
+    "phi1-on-s": (_phi1_on_s, ("n", "K")),
+}
+
+
+def _verify_conjecture(name: str, params: dict, fmt: str, t0: float) -> int:
+    rows, first = sequences._build("conjecture", _CONJECTURES, name, params)
+    record = {
+        "command": "verify",
+        "target": f"conjecture:{name}",
+        "params": {a: params[a] for a in _CONJECTURES[name][1] if a != "K"},
+        "K": params["K"],
+        "rows": rows,
+        "summary": _summary(t0, all_pass=first is None, first_failure=first),
+    }
+    _emit_rows(record, fmt)
+    return 0  # conjecture findings are data, not failures
+
+
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
+    # every flag but the mode and the output format
+    params = {a: v for a, v in vars(args).items() if a not in ("command", "func", "conjecture", "format")}
     if args.conjecture:
-        if args.conjecture == "qrs":
-            if args.q is None or args.r is None or args.s is None:
-                raise ValueError("--conjecture qrs needs --q, --r, and --s ranges")
-            if args.n is None:
-                raise ValueError("--conjecture qrs needs --n")
-            findings = census.explore_qrs(
-                args.n, _parse_range(args.q), _parse_range(args.r), _parse_range(args.s), args.K
-            )
-            rows = [f.to_dict() for f in findings]
-            all_pass = all(f.holds for f in findings)
-            first = next((f.to_dict() for f in findings if not f.holds), None)
-        elif args.conjecture == "phi1-on-s":
-            if args.n is None:
-                raise ValueError("--conjecture phi1-on-s needs --n")
-            reports = census.check_phi1_on_s(args.n, args.K)
-            rows = [r.to_dict() for r in reports]
-            all_pass = all(r.passed for r in reports)
-            first = next((r.k for r in reports if not r.passed), None)
-        else:
-            raise ValueError(f"unknown conjecture {args.conjecture!r}")
-        record = {
-            "command": "verify",
-            "target": f"conjecture:{args.conjecture}",
-            "params": {k: v for k, v in (("n", args.n), ("q", args.q), ("r", args.r), ("s", args.s)) if v is not None},
-            "K": args.K,
-            "rows": rows,
-            "summary": _summary(t0, all_pass=all_pass, first_failure=first),
-        }
-        _emit_rows(record, args.format)
-        return 0  # conjecture findings are data, not failures
-
+        return _verify_conjecture(args.conjecture, params, args.format, t0)
     if not args.family:
         raise ValueError("verify needs --family or --conjecture")
-    spec = sequences.build_spec(args.family, **_seq_params(args))
+    spec = sequences.build_spec(args.family, n=args.n, m=args.m, j=args.j, q=args.q, r=args.r, s=args.s)
     operator = args.operator or ("phi2" if args.family == "s" else "phi1")
     if args.family == "s" and operator == "phi1":
         # the phi1 congruence on the s family is the conjecture target
-        args.conjecture = "phi1-on-s"
-        return cmd_verify(args)
-    oracle = _oracle_check(args.family, spec, args.oracle_depth)
+        return _verify_conjecture("phi1-on-s", {**params, "family": None, "operator": None}, args.format, t0)
+    oracle = _oracle_check(args.family, spec, 8 if args.oracle_depth is None else args.oracle_depth)
     reports = census.verify_congruence(spec, operator, args.K)
     all_pass = oracle["pass"] and all(r.passed for r in reports)
     first = None
@@ -248,7 +249,7 @@ def cmd_verify(args) -> int:
 
 def cmd_gfcheck(args) -> int:
     t0 = time.perf_counter()
-    spec = sequences.build_spec(args.family, **_seq_params(args))
+    spec = sequences.build_spec(args.family, j=args.j, m=args.m, n=args.n)
     rows = _gf_rows(spec, args.K)
     first = next((r["k"] for r in rows if not r["match"]), None)
     record = {
@@ -296,11 +297,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="oracle cross-check + congruence sweep")
     p.add_argument("--family", choices=sequences.SEQ_FAMILIES, default=None)
-    p.add_argument("--conjecture", choices=("qrs", "phi1-on-s"), default=None)
+    p.add_argument("--conjecture", choices=tuple(_CONJECTURES), default=None)
     _add_seq_param_args(p)
     p.add_argument("--K", type=int, required=True, help="congruence sweep bound")
     p.add_argument("--operator", choices=("phi1", "phi2"), default=None)
-    p.add_argument("--oracle-depth", type=int, default=8)
+    p.add_argument("--oracle-depth", type=int, default=None, help="map oracle depth (default 8)")
     p.add_argument("--q", default=None, help="range like 0..3 (qrs)")
     p.add_argument("--r", default=None, help="range like 0..3 (qrs)")
     p.add_argument("--s", default=None, help="range like 0..3 (qrs)")

@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .plmap import PLMap
+from .sequences import _build
 
 
 def _merged_anchors(spec: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -116,13 +117,4 @@ class FamilyParams(NamedTuple):
     j: int | None = None
 
     def build(self) -> PLMap:
-        if self.family not in _BUILDERS:
-            raise ValueError(f"unknown family {self.family!r}")
-        fn, names = _BUILDERS[self.family]
-        missing = [a for a in names if getattr(self, a) is None]
-        if missing:
-            raise ValueError(f"family {self.family!r} needs parameters: {', '.join(missing)}")
-        extra = [a for a in ("n", "m", "j") if getattr(self, a) is not None and a not in names]
-        if extra:
-            raise ValueError(f"family {self.family!r} does not take: {', '.join(extra)}")
-        return fn(*(getattr(self, a) for a in names))
+        return _build("family", _BUILDERS, self.family, {"n": self.n, "m": self.m, "j": self.j})

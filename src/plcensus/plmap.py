@@ -211,7 +211,7 @@ class PLMap:
         return lap.slope * x + lap.intercept
 
     def iterate(self, x, k: int) -> Fraction:
-        """f^k(x) by k-fold evaluation."""
+        """f^k(x) by k-fold evaluation: the slow reference the census tests compare against."""
         v = Fraction(x)
         for _ in range(k):
             v = self(v)

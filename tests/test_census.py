@@ -407,6 +407,15 @@ def test_census_usage_errors():
             oracle_congruence(make_gn(1), "phi1", K)
 
 
+def test_explorer_usage_errors():
+    with pytest.raises(ValueError, match="operator must be"):
+        oracle_congruence(make_gn(1), "phi3", 5)
+    with pytest.raises(ValueError, match="n must be >= 2"):
+        explore_qrs(1, [0], [0], [0], 5)
+    with pytest.raises(ValueError, match="K must be >= 1"):
+        explore_qrs(2, [0], [0], [0], 0)
+
+
 # -- explorers ---------------------------------------------------------------------------
 
 def test_qrs_terms_examples():

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from plcensus.cli import main
+from plcensus.cli import build_parser, main
 from plcensus.sequences import seq_c
 
 
@@ -218,6 +218,78 @@ def test_verify_conjecture_phi1_on_s(capsys):
 def test_verify_usage_error(capsys):
     code, _, err = run(capsys, "verify", "--K", "10")
     assert code == 2
+
+
+def test_verify_family_a_phi2_fails_the_congruence_not_the_oracle(capsys):
+    code, out, _ = run(capsys, "verify", "--family", "a", "--n", "4", "--K", "30", "--operator", "phi2")
+    assert code == 1
+    record = json.loads(out)
+    assert record["oracle_check"]["pass"] is True
+    assert record["summary"]["first_failure"] == {"stage": "congruence", "k": 2}
+    code, out, _ = run(
+        capsys, "verify", "--family", "a", "--n", "4", "--K", "30", "--operator", "phi2", "--format", "csv"
+    )
+    assert code == 1
+    header, *rows = [line.split(",") for line in out.splitlines()]
+    row = dict(zip(header, rows[1]))
+    assert (row["k"], row["quotient"], row["pass"]) == ("2", "", "false")
+
+
+def test_verify_empty_range_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "--conjecture", "qrs", "--n", "2", "--q", "3..1", "--r", "0", "--s", "0", "--K", "5")
+    assert (code, out) == (2, "")
+    assert "empty range '3..1'" in err
+
+
+def test_verify_family_s_phi1_prints_the_conjecture_record(capsys):
+    argv = ["verify", "--family", "s", "--n", "2", "--K", "30", "--operator", "phi1"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    record = json.loads(out)
+    assert list(record) == ["command", "target", "params", "K", "rows", "summary"]
+    assert (record["target"], record["params"], record["K"]) == ("conjecture:phi1-on-s", {"n": 2}, 30)
+    assert [r["k"] for r in record["rows"]] == list(range(1, 31))
+    assert record["summary"]["all_pass"] is True
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == 31
+    assert lines[:2] == ["k,term,operator,value,modulus,quotient,pass", "1,1,phi1,1,1,1,true"]
+    # the redirect leaves the parsed arguments as they were
+    args = build_parser().parse_args(argv)
+    assert args.func(args) == 0
+    assert args.conjecture is None
+    capsys.readouterr()
+
+
+# -- one parameter rule for every mode --------------------------------------------
+
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        ("verify --conjecture phi1-on-s --n 2 --K 5 --operator phi2", "operator"),
+        ("verify --conjecture phi1-on-s --n 2 --K 5 --m 5", "m"),
+        ("verify --family a --n 4 --K 5 --q 0..3", "q"),
+        ("verify --conjecture qrs --n 2 --q 0..1 --r 0 --s 0 --K 5 --family a --j 3", "family, j"),
+        ("verify --family s --n 2 --K 5 --operator phi1 --oracle-depth 4", "oracle_depth"),
+        ("count --map gn --n 1 --k 3 --anchors 0:0,1:1", "anchors"),
+    ],
+    ids=["phi1-on-s-operator", "phi1-on-s-m", "family-q", "qrs-family-j", "redirect-oracle-depth", "gn-anchors"],
+)
+def test_every_mode_rejects_a_flag_it_does_not_take(capsys, argv, flags):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert f"does not take: {flags}" in err
+
+
+@pytest.mark.parametrize(
+    "argv, missing",
+    [("verify --conjecture qrs --n 2 --K 5", "q, r, s"), ("count --map custom --k 1", "anchors")],
+    ids=["qrs-ranges", "custom-anchors"],
+)
+def test_every_mode_names_a_missing_parameter(capsys, argv, missing):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert f"needs parameters: {missing}" in err
 
 
 # -- gfcheck ---------------------------------------------------------------------

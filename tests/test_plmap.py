@@ -226,6 +226,21 @@ def test_sign_minus_needs_zero_in_domain():
         make_base_map().count_solutions(1, sign=-1)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda f: f.iterate_pieces(0), "k must be >= 1"),
+        (lambda f: f.count_solutions(0), "k must be >= 1"),
+        (lambda f: f.count_solutions(1, sign=2), "sign must be"),
+        (lambda f: f.count_solutions(1, method="fast"), "method must be"),
+    ],
+    ids=["iterate_pieces-k0", "count-k0", "sign-2", "method-fast"],
+)
+def test_usage_errors(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(make_gn(1))
+
+
 def test_count_matches_solution_set_len():
     for m in (make_base_map(), make_gn(2), make_hjmn(4, 3, 2), make_pn(3)):
         for k in (1, 2, 3, 4):
