@@ -17,6 +17,8 @@ p | m and adds the origin, which every odd map fixes.
 
 from __future__ import annotations
 
+import functools
+import operator
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -31,14 +33,20 @@ class CensusInvariantError(RuntimeError):
 
 
 def factorize(m: int) -> tuple[tuple[int, int], ...]:
-    """Complete prime factorization by trial division, as sorted
-    (prime, exponent) pairs; factorize(1) is empty.
+    """Prime factorization by trial division as sorted (prime, exponent)
+    pairs, () for 1; each m once per process (``factorize.cache_info()``).
 
     >>> factorize(12)
     ((2, 2), (3, 1))
     """
+    m = operator.index(m)
     if m < 1:
         raise ValueError("m must be >= 1")
+    return _factorize(m)
+
+
+@functools.lru_cache(maxsize=None)
+def _factorize(m: int) -> tuple[tuple[int, int], ...]:
     rem = m
     factors = []
     f = 2
@@ -48,13 +56,15 @@ def factorize(m: int) -> tuple[tuple[int, int], ...]:
             while rem % f == 0:
                 rem //= f
                 e += 1
-            factors.append((f, e))
+            factors.append(_PAIRS.setdefault((f, e), (f, e)))
         f += 1 if f == 2 else 2
     if rem > 1:
-        factors.append((rem, 1))
+        factors.append(_PAIRS.setdefault((rem, 1), (rem, 1)))
     return tuple(factors)
 
 
+_PAIRS: dict = {}  # one copy of each (prime, exponent) pair, shared by the memo
+factorize.cache_info = _factorize.cache_info
 Accessor = Callable[[int], int]
 
 
@@ -160,8 +170,6 @@ def periodic_census(pl_map: PLMap, m: int) -> CensusCount:
     period d < m, d | m, has d | m/p for some such p.  Returns
     (count, count // m); raises CensusInvariantError if m does not divide
     the count."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
     count = _least_period_count(pl_map, m, 1, [p for p, _ in factorize(m)], set())
     if count % m:
         raise CensusInvariantError(f"{count} least-period-{m} points, not divisible by {m}")
@@ -186,8 +194,6 @@ def symmetric_census(pl_map: PLMap, m: int) -> CensusCount:
     m/m' odd and > 1, and x solves f^(m/p)(x) = -x for each odd p | m/m'.
     Returns (count, count // (2m)); raises CensusInvariantError if 2m does
     not divide the count."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
     if not _is_odd_map(pl_map):
         raise ValueError("symmetric census needs an odd map on a symmetric domain")
     odd = [p for p, _ in factorize(m) if p != 2]

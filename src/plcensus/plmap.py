@@ -275,6 +275,8 @@ class PLMap:
         """
         if k < 1:
             raise ValueError("k must be >= 1")
+        if max_pieces < 1:
+            raise ValueError("max_pieces must be >= 1")
         memo = self._iterate
         j, pieces = memo if memo and memo[0] <= k else (1, self._lap_tuple())
         if len(pieces) > max_pieces:
@@ -448,6 +450,8 @@ class PLMap:
             raise ValueError("k must be >= 1")
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
+        if max_pieces < 1:
+            raise ValueError("max_pieces must be >= 1")
         if sign == -1 and not (self._xs[0] <= 0 <= self._xs[-1]):
             raise DomainError("f^k(x) = -x needs 0 inside the domain")
         if self._resolve_method(k, method) == "markov":

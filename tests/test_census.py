@@ -1,9 +1,14 @@
+import sys
+import threading
+import tracemalloc
+
 import pytest
 from fractions import Fraction
 from math import isqrt, prod
 
 from hypothesis import example, given, settings, strategies as st
 
+from plcensus import census
 from plcensus.census import (
     QRSFinding,
     explore_qrs,
@@ -54,6 +59,96 @@ def test_factorize_invariants_sampled():
 @settings(max_examples=200, deadline=None)
 def test_factorize_round_trip(m):
     assert prod(p**e for p, e in factorize(m)) == m
+
+
+def _sieve_factorizations(n):
+    """Factorizations of 0..n from a smallest-prime-factor sieve."""
+    spf = list(range(n + 1))
+    for p in range(2, isqrt(n) + 1):
+        if spf[p] == p:
+            for q in range(p * p, n + 1, p):
+                if spf[q] == q:
+                    spf[q] = p
+    out = [()] * (n + 1)
+    for m in range(2, n + 1):
+        p, rest = spf[m], m // spf[m]
+        head = out[rest]
+        out[m] = ((p, head[0][1] + 1), *head[1:]) if head and head[0][0] == p else ((p, 1), *head)
+    return out
+
+
+def test_factorize_matches_a_sieve():
+    sieve = _sieve_factorizations(10**5)
+    assert all(factorize(m) == sieve[m] for m in range(1, 10**5 + 1))
+
+
+def test_factorize_caches_no_error():
+    before = factorize.cache_info().currsize
+    for m in (0, -3):
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            factorize(m)
+    assert factorize.cache_info().currsize == before
+
+
+def test_factorize_rejects_a_non_integral_key():
+    # a float key would hash like the int and leave float primes in the memo
+    census._factorize.cache_clear()
+    with pytest.raises(TypeError):
+        factorize(14.0)
+    assert factorize(14) == ((2, 1), (7, 1))
+    assert all(type(x) is int for pair in factorize(14) for x in pair)
+    with pytest.raises(TypeError):
+        factorize(14.0)
+    assert factorize(True) == ()
+
+
+def test_factorize_memo_is_thread_safe():
+    spec = build_spec("c", j=3, m=4, n=3)
+    serial = verify_congruence(spec, "phi1", 2000)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        census._factorize.cache_clear()
+        barrier = threading.Barrier(4, timeout=30)
+        got = [None] * 4
+
+        def work(i):
+            barrier.wait()
+            got[i] = verify_congruence(spec, "phi1", 2000)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [serial] * 4
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_factorize_memo_is_compact():
+    # entries share their (prime, exponent) pairs; a plain memo of fresh
+    # pairs costs about 265 B per entry
+    census._factorize.cache_clear()
+    census._PAIRS.clear()
+    tracemalloc.start()
+    try:
+        for m in range(1, 10**4 + 1):
+            factorize(m)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert factorize.cache_info().currsize == 10**4
+    assert held / 10**4 <= 160
+
+
+def test_a_repeated_sweep_factorizes_nothing():
+    spec = build_spec("c", j=3, m=4, n=3)
+    first = verify_congruence(spec, "phi1", 500)
+    misses = factorize.cache_info().misses
+    assert verify_congruence(spec, "phi1", 500) == first
+    assert factorize.cache_info().misses == misses
 
 
 # -- phi1 / phi2 -------------------------------------------------------------------

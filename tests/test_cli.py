@@ -99,6 +99,13 @@ def test_count_resource_guard_exit_3(capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("extra", [["--max-pieces", "-5"], ["--max-pieces", "0", "--method", "markov"]])
+def test_count_piece_budget_below_1_is_a_usage_error(capsys, extra):
+    code, out, err = run(capsys, "count", "--map", "gn", "--n", "1", "--k", "3", *extra)
+    assert (code, out) == (2, "")
+    assert "max_pieces must be >= 1" in err
+
+
 def test_count_missing_params(capsys):
     code, _, err = run(capsys, "count", "--map", "gn", "--k", "1")
     assert code == 2
@@ -218,6 +225,13 @@ def test_verify_conjecture_phi1_on_s(capsys):
 def test_verify_usage_error(capsys):
     code, _, err = run(capsys, "verify", "--K", "10")
     assert code == 2
+
+
+@pytest.mark.parametrize("depth", ["0", "-2"])
+def test_verify_oracle_depth_below_1_names_the_flag(capsys, depth):
+    code, out, err = run(capsys, "verify", "--family", "a", "--n", "4", "--K", "10", "--oracle-depth", depth)
+    assert (code, out) == (2, "")
+    assert "--oracle-depth must be >= 1" in err
 
 
 def test_verify_family_a_phi2_fails_the_congruence_not_the_oracle(capsys):

@@ -233,8 +233,11 @@ def test_sign_minus_needs_zero_in_domain():
         (lambda f: f.count_solutions(0), "k must be >= 1"),
         (lambda f: f.count_solutions(1, sign=2), "sign must be"),
         (lambda f: f.count_solutions(1, method="fast"), "method must be"),
+        (lambda f: f.iterate_pieces(3, max_pieces=0), "max_pieces must be >= 1"),
+        (lambda f: f.count_solutions(3, method="markov", max_pieces=0), "max_pieces must be >= 1"),
+        (lambda f: f.solution_set(3, method="pieces", max_pieces=-5), "max_pieces must be >= 1"),
     ],
-    ids=["iterate_pieces-k0", "count-k0", "sign-2", "method-fast"],
+    ids=["iterate_pieces-k0", "count-k0", "sign-2", "method-fast", "iterate_pieces-budget0", "markov-budget0", "pieces-budget-5"],
 )
 def test_usage_errors(call, message):
     with pytest.raises(ValueError, match=message):
