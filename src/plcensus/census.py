@@ -254,10 +254,11 @@ def explore_qrs(
         raise ValueError("n must be >= 2")
     if K < 1:
         raise ValueError("K must be >= 1")
+    qs, rs, ss = sorted(set(q_range)), sorted(set(r_range)), sorted(set(s_range))
     findings = []
-    for q in sorted(set(q_range)):
-        for r in sorted(set(r_range)):
-            for s in sorted(set(s_range)):
+    for q in qs:
+        for r in rs:
+            for s in ss:
                 t = [None]
                 acc = t.__getitem__
                 first = None

@@ -19,8 +19,11 @@ Counting runs on one of two interchangeable engines:
   This engine needs time polynomial in k.
 
 Both engines are exact and agree wherever both apply (the test suite checks
-them against each other).  ``method="auto"`` picks ``markov`` for an eligible
-map when the entries of A^k sum to more than ``AUTO_PIECE_THRESHOLD``.  That
+them against each other).  ``method="auto"`` stays on ``pieces`` while
+laps^(k+1) is within ``AUTO_PIECE_THRESHOLD``, since a composition step splits
+a piece into at most one piece per lap, so f^(k+1) has at most that many
+pieces; no matrix is built then.  Past that bound it picks ``markov`` for an
+eligible map when the entries of A^k sum to more than the threshold.  That
 sum counts the length-(k+1) transition words, which are the pieces of
 f^(k+1), not f^k, on a map anchored at every integer: for ``hjmn(4, 3, 3)``
 it is 10,063 at k = 4, where f^4 has 1,633 pieces.
@@ -34,9 +37,9 @@ from typing import NamedTuple
 
 # a piece takes about 550 bytes, so a build within the default stays near 275 MB
 DEFAULT_MAX_PIECES = 500_000
-# auto method: eligible maps switch to the transition-matrix engine when the
-# entries of A^k, which count the length-(k+1) transition words, sum to more
-# than this
+# auto method: pieces while laps^(k+1) is at most this; past it, eligible maps
+# switch to the transition-matrix engine when the entries of A^k, which count
+# the length-(k+1) transition words, sum to more than this
 AUTO_PIECE_THRESHOLD = 10_000
 
 
@@ -99,49 +102,20 @@ class SolutionSet(tuple):
         return f"SolutionSet(points={tuple(self)!r})"
 
 
-class _MarkovData:
-    """Unit-partition view of an integer map: values at integers, slopes per
-    unit interval, transition matrix, and the last power A^j computed, kept
-    as an immutable ``(j, A^j)`` memo."""
+class _MarkovData(NamedTuple):
+    """Unit-partition view of an integer map: values at integers, and on the
+    i-th unit interval [lo+i, lo+i+1] the lap x -> slopes[i]*x +
+    intercepts[i] and row i of the transition matrix A."""
 
-    __slots__ = ("lo", "values", "slopes", "intercepts", "A", "counting_ok", "_power")
-
-    def __init__(self, lo: int, values: list[int]):
-        self.lo = lo
-        self.values = values
-        n = len(values) - 1
-        self.slopes = [values[i + 1] - values[i] for i in range(n)]
-        # f restricted to [lo+i, lo+i+1] is x -> slopes[i]*x + intercepts[i]
-        self.intercepts = [values[i] - self.slopes[i] * (lo + i) for i in range(n)]
-        self.A = [
-            [
-                1
-                if min(values[i], values[i + 1]) <= lo + j
-                and lo + j + 1 <= max(values[i], values[i + 1])
-                else 0
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        # zero slopes break the walk/piece correspondence; the matrix itself
-        # is still well defined
-        self.counting_ok = all(s != 0 for s in self.slopes)
-        self._power = (1, self.A)
+    lo: int
+    values: list[int]
+    slopes: list[int]
+    intercepts: list[int]
+    A: list[list[int]]
 
     @property
     def n(self) -> int:
-        return len(self.values) - 1
-
-    def power(self, k: int) -> list[list[int]]:
-        """A^k, resumed from the memo A^j when j <= k and from A otherwise."""
-        from .exactnum import _mat_mul
-
-        memo = self._power
-        j, Aj = memo if memo[0] <= k else (1, self.A)
-        for _ in range(k - j):
-            Aj = _mat_mul(Aj, self.A)
-        self._power = (k, Aj)
-        return Aj
+        return len(self.slopes)
 
     def target(self, j: int, sign: int) -> int | None:
         """Index j for sign = 1; for sign = -1 the index of -I_j =
@@ -160,11 +134,10 @@ class PLMap:
     Instances are immutable; all operations are pure and safe to share
     across threads.  Every internal memo is an immutable value that one
     assignment replaces whole: the laps, the Markov data, the last iterate
-    f^j built as ``(j, pieces)`` and, inside the Markov data, the last
-    matrix power as ``(j, A^j)``.
+    f^j built as ``(j, pieces)`` and the last matrix power as ``(j, A^j)``.
     """
 
-    __slots__ = ("anchors", "_xs", "_laps", "_markov", "_iterate")
+    __slots__ = ("anchors", "_xs", "_laps", "_markov", "_iterate", "_power")
 
     def __init__(self, anchors):
         pts = [(Fraction(x), Fraction(y)) for x, y in anchors]
@@ -181,6 +154,7 @@ class PLMap:
         object.__setattr__(self, "_laps", None)
         object.__setattr__(self, "_markov", None)
         object.__setattr__(self, "_iterate", None)
+        object.__setattr__(self, "_power", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PLMap is immutable")
@@ -291,39 +265,56 @@ class PLMap:
     def _markov_data(self) -> _MarkovData | None:
         if self._markov is None:
             data: _MarkovData | bool = False
-            xs = self._xs
-            if all(x.denominator == 1 for x in xs):
-                lo, hi = int(xs[0]), int(xs[-1])
-                values = []
-                for q in range(lo, hi + 1):
-                    v = self(q)
-                    if v.denominator != 1:
-                        break
-                    values.append(int(v))
-                else:
-                    data = _MarkovData(lo, values)
+            laps = self._lap_tuple()
+            # f sends integers to integers iff each lap has integer ends, slope and intercept
+            if all(v.denominator == 1 for lap in laps for v in lap):
+                lo = int(self._xs[0])
+                slopes = [int(lap.slope) for lap in laps for _ in range(int(lap.hi - lap.lo))]
+                intercepts = [int(lap.intercept) for lap in laps for _ in range(int(lap.hi - lap.lo))]
+                values = [s * (lo + i) + t for i, (s, t) in enumerate(zip(slopes, intercepts))]
+                values.append(int(self.anchors[-1][1]))
+                A = [
+                    [1 if min(u, v) <= q < max(u, v) else 0 for q in range(lo, lo + len(slopes))]
+                    for u, v in zip(values, values[1:])
+                ]
+                data = _MarkovData(lo, values, slopes, intercepts, A)
             object.__setattr__(self, "_markov", data)
         return self._markov or None
 
+    def _matrix_power(self, md: _MarkovData, k: int) -> list[list[int]]:
+        """A^k, resumed from the last power A^j when j <= k and from A otherwise."""
+        from .exactnum import _mat_mul
+
+        memo = self._power
+        j, Aj = memo if memo and memo[0] <= k else (1, md.A)
+        for _ in range(k - j):
+            Aj = _mat_mul(Aj, md.A)
+        object.__setattr__(self, "_power", (k, Aj))
+        return Aj
+
     def transition_matrix(self) -> list[list[int]]:
         """0/1 matrix over unit intervals: entry (i, j) is 1 iff the image of
-        the i-th unit interval contains the j-th.  Requires integer anchors
-        with integer values at every integer point."""
+        the i-th unit interval contains the j-th.  Requires integer anchor
+        x's and an integer slope and intercept on every lap."""
         md = self._markov_data()
         if md is None:
             raise NotMarkovError(
-                "transition matrix needs integer anchor coordinates and integer "
-                "values at every integer of the domain"
+                "transition matrix needs integer anchor x-coordinates and an "
+                "integer slope and intercept on every lap"
             )
         return [row[:] for row in md.A]
 
     # -- solution counting --------------------------------------------------
 
     def _resolve_method(self, k: int, method: str) -> str:
-        if method == "pieces":
+        if method not in ("auto", "pieces", "markov"):
+            raise ValueError("method must be 'auto', 'pieces', or 'markov'")
+        # f^(k+1) has at most laps^(k+1) pieces: within the threshold, build no matrix
+        laps = len(self._lap_tuple())
+        if method == "pieces" or (method == "auto" and laps ** (k + 1) <= AUTO_PIECE_THRESHOLD):
             return "pieces"
         md = self._markov_data()
-        usable = md is not None and md.counting_ok
+        usable = md is not None and all(md.slopes)
         if method == "markov":
             if not usable:
                 raise NotMarkovError(
@@ -331,9 +322,7 @@ class PLMap:
                     "with nonzero slope on every unit interval"
                 )
             return "markov"
-        if method != "auto":
-            raise ValueError("method must be 'auto', 'pieces', or 'markov'")
-        if usable and sum(map(sum, md.power(k))) > AUTO_PIECE_THRESHOLD:
+        if usable and sum(map(sum, self._matrix_power(md, k))) > AUTO_PIECE_THRESHOLD:
             return "markov"
         return "pieces"
 
@@ -405,7 +394,7 @@ class PLMap:
 
     def _markov_count(self, md: _MarkovData, k: int, sign: int) -> int:
         ints, overlap = self._int_solutions(md, k, sign)
-        Ak = md.power(k)
+        Ak = self._matrix_power(md, k)
         total = 0
         for j in range(md.n):
             target = md.target(j, sign)
@@ -501,4 +490,6 @@ class PLMap:
     ) -> list[int]:
         """[count_solutions(k) for k = 1..K]; each engine resumes from its last
         iterate, A^(k-1) or the pieces of f^(k-1)."""
+        if K < 1:
+            raise ValueError("K must be >= 1")
         return [self.count_solutions(k, sign, method, max_pieces) for k in range(1, K + 1)]

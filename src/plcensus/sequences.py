@@ -122,19 +122,12 @@ def _s_prefix(n: int) -> list[int]:
     return [1] * (n - 1) + [2 ** (k - n) * 2 * k + 1 for k in range(n, 2 * n)]
 
 
-def _s_numerator_formula(n: int, drop_degree: int | None = None) -> Poly:
-    """The closed-form numerator of the s-family generating function.
-
-    ``drop_degree`` omits the base -2z^2 (drop_degree=2) or -z^3
-    (drop_degree=3) contribution, the advertised shortcut for the n = 2 and
-    n = 3 special cases.
-    """
+def _s_numerator_formula(n: int) -> Poly:
+    """The closed-form numerator of the s-family generating function."""
     arr = [0] * (2 * n)
     arr[1] += 1
-    if drop_degree != 2:
-        arr[2] -= 2
-    if drop_degree != 3 and 2 * n - 1 >= 3:
-        arr[3] -= 1
+    arr[2] -= 2
+    arr[3] -= 1
     for k in range(5, n):
         arr[k] += k - 4
     arr[n] += 3 * n - 4

@@ -570,10 +570,13 @@ def test_explore_qrs_matches_eager_search(n, q, r, s, K):
 
 
 def test_explore_qrs_grid_shape_and_order():
-    findings = explore_qrs(2, range(0, 2), range(0, 2), range(-1, 1), 10)
+    grid = (range(0, 2), range(0, 2), range(-1, 1))
+    findings = explore_qrs(2, *grid, 10)
     assert len(findings) == 8
     keys = [(f.q, f.r, f.s) for f in findings]
     assert keys == sorted(keys)
+    # one-shot iterators give the whole grid too, not one row of it
+    assert explore_qrs(2, *(iter(g) for g in grid), 10) == findings
 
 
 def test_check_phi1_on_s():

@@ -236,8 +236,14 @@ def test_sign_minus_needs_zero_in_domain():
         (lambda f: f.iterate_pieces(3, max_pieces=0), "max_pieces must be >= 1"),
         (lambda f: f.count_solutions(3, method="markov", max_pieces=0), "max_pieces must be >= 1"),
         (lambda f: f.solution_set(3, method="pieces", max_pieces=-5), "max_pieces must be >= 1"),
+        (lambda f: f.count_sequence(0), "K must be >= 1"),
+        (lambda f: f.count_sequence(-3), "K must be >= 1"),
+        (lambda f: f.count_sequence(0, method="bogus"), "K must be >= 1"),
     ],
-    ids=["iterate_pieces-k0", "count-k0", "sign-2", "method-fast", "iterate_pieces-budget0", "markov-budget0", "pieces-budget-5"],
+    ids=[
+        "iterate_pieces-k0", "count-k0", "sign-2", "method-fast", "iterate_pieces-budget0",
+        "markov-budget0", "pieces-budget-5", "sequence-K0", "sequence-K-3", "sequence-K0-bogus",
+    ],
 )
 def test_usage_errors(call, message):
     with pytest.raises(ValueError, match=message):
@@ -442,12 +448,52 @@ def test_transition_matrix_not_markov():
         PLMap([(0, 0), (F(1, 2), 1), (1, 0)]).transition_matrix()
     with pytest.raises(NotMarkovError):
         PLMap([(0, 1), (2, 0)]).transition_matrix()  # value 1/2 at x=1
+    with pytest.raises(NotMarkovError):
+        # integer slope and intercept, but the last anchor x is not an integer
+        PLMap([(0, 0), (F(3, 2), F(3, 2))]).transition_matrix()
 
 
 def test_sparse_anchor_maps_are_markov():
     # collinear spans evaluate to integers at every interior integer
     assert make_fmn(3, 6).transition_matrix()
     assert make_gn(4).transition_matrix()
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_markov_data_read_off_the_laps_matches_the_integers(data):
+    # anchors on a half-integer grid; scale 2 puts them on the integers
+    scale = data.draw(st.sampled_from([1, 2]))
+    xs = sorted(data.draw(st.sets(st.integers(-6, 6), min_size=2, max_size=5)))
+    ys = data.draw(st.lists(st.integers(xs[0], xs[-1]), min_size=len(xs), max_size=len(xs)))
+    m = PLMap([(F(scale * x, 2), F(scale * y, 2)) for x, y in zip(xs, ys)])
+    md = m._markov_data()
+    # the slow oracle: every anchor x an integer and f integral at every integer
+    lo, hi = m.domain
+    integers = range(int(lo), int(hi) + 1)
+    if all(x.denominator == 1 for x, _ in m.anchors) and all(m(q).denominator == 1 for q in integers):
+        assert md is not None
+        assert md.values == [m(q) for q in integers]
+    else:
+        assert md is None
+
+
+def test_auto_on_a_wide_one_lap_map_builds_no_matrix():
+    # one lap over [0, 10^5]: f^(k+1) has one piece, so auto stays on
+    # pieces; a 10^5 x 10^5 transition matrix would never fit
+    m = PLMap([(0, 0), (10**5, 10**5)])
+    tracemalloc.start()
+    try:
+        for k in range(1, 9):
+            with pytest.raises(InfiniteSolutions) as info:
+                m.count_solutions(k)
+            assert info.value.witness == (0, 10**5)
+        with pytest.raises(ValueError, match="method must be"):
+            m.count_solutions(1, method="bogus")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # -- annihilation property -----------------------------------------------------

@@ -86,7 +86,8 @@ def test_gf_examples():
 
 def test_s2_shortcut_disagrees_and_is_documented():
     sp = spec_s(2)
-    literal = _s_numerator_formula(2, drop_degree=2)
+    # the shortcut drops the formula's -2z^2 term
+    literal = _s_numerator_formula(2) + Poly([0, 0, 2])
     assert literal == Poly([0, 1, 2, -2])
     assert literal != sp.gf_num
     assert sp.note is not None and "n=2" in sp.note
@@ -98,7 +99,8 @@ def test_s2_shortcut_disagrees_and_is_documented():
 
 def test_s3_shortcut_confirmed():
     sp = spec_s(3)
-    assert _s_numerator_formula(3, drop_degree=3) == sp.gf_num
+    # the shortcut drops the formula's -z^3 term
+    assert _s_numerator_formula(3) + Poly([0, 0, 0, 1]) == sp.gf_num
     assert sp.note is not None and "n=3" in sp.note
 
 
