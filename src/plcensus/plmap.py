@@ -27,6 +27,12 @@ eligible map when the entries of A^k sum to more than the threshold.  That
 sum counts the length-(k+1) transition words, which are the pieces of
 f^(k+1), not f^k, on a map anchored at every integer: for ``hjmn(4, 3, 3)``
 it is 10,063 at k = 4, where f^4 has 1,633 pieces.
+
+No float enters.  The pieces hold every exact number as an int where it is
+integral and as a Fraction otherwise, so the pieces of an integer map compose
+in int and only the cut points are Fractions.  Solution points,
+``InfiniteSolutions`` witnesses, ``domain``, ``anchors`` and values of the
+map are always Fractions.
 """
 
 from __future__ import annotations
@@ -35,12 +41,19 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import NamedTuple
 
-# a piece takes about 550 bytes, so a build within the default stays near 275 MB
+# a piece with int fields (an integer map) takes about 360 bytes and one with
+# Fraction fields about 480, so a build within the default stays under 250 MB
 DEFAULT_MAX_PIECES = 500_000
 # auto method: pieces while laps^(k+1) is at most this; past it, eligible maps
 # switch to the transition-matrix engine when the entries of A^k, which count
 # the length-(k+1) transition words, sum to more than this
 AUTO_PIECE_THRESHOLD = 10_000
+
+
+def _narrow(v):
+    """v as an int when it is integral; int and Fraction alike carry
+    ``numerator`` and ``denominator``."""
+    return v.numerator if v.denominator == 1 else v
 
 
 class DomainError(ValueError):
@@ -73,14 +86,19 @@ class InfiniteSolutions(Exception):
 
 
 class AffinePiece(NamedTuple):
-    """One affine lap of an iterate: x -> slope*x + intercept on [lo, hi]."""
+    """One affine lap of an iterate: x -> slope*x + intercept on [lo, hi].
 
-    lo: Fraction
-    hi: Fraction
-    slope: Fraction
-    intercept: Fraction
+    Each field is an exact rational, an int where it is integral and a
+    Fraction otherwise; equal values compare and hash alike either way.
+    Halve with ``Fraction(lo + hi, 2)``, since ``/`` on two ints is a float.
+    """
 
-    def __call__(self, x: Fraction) -> Fraction:
+    lo: int | Fraction
+    hi: int | Fraction
+    slope: int | Fraction
+    intercept: int | Fraction
+
+    def __call__(self, x: int | Fraction) -> int | Fraction:
         return self.slope * x + self.intercept
 
 
@@ -133,8 +151,9 @@ class PLMap:
     Anchors may be ints, Fractions, or anything ``Fraction`` accepts.
     Instances are immutable; all operations are pure and safe to share
     across threads.  Every internal memo is an immutable value that one
-    assignment replaces whole: the laps, the Markov data, the last iterate
-    f^j built as ``(j, pieces)`` and the last matrix power as ``(j, A^j)``.
+    assignment replaces whole: the laps and their anchor x's, the Markov
+    data, the last iterate f^j built as ``(j, pieces)`` and the last matrix
+    power as ``(j, A^j)``.
     """
 
     __slots__ = ("anchors", "_xs", "_laps", "_markov", "_iterate", "_power")
@@ -150,7 +169,7 @@ class PLMap:
         if any(not (lo <= y <= hi) for _, y in pts):
             raise ValueError(f"anchor values leave [{lo}, {hi}]; not a self-map")
         object.__setattr__(self, "anchors", tuple(pts))
-        object.__setattr__(self, "_xs", xs)
+        object.__setattr__(self, "_xs", None)
         object.__setattr__(self, "_laps", None)
         object.__setattr__(self, "_markov", None)
         object.__setattr__(self, "_iterate", None)
@@ -171,18 +190,17 @@ class PLMap:
 
     @property
     def domain(self) -> tuple[Fraction, Fraction]:
-        return (self._xs[0], self._xs[-1])
+        return (self.anchors[0][0], self.anchors[-1][0])
 
     # -- evaluation ---------------------------------------------------------
 
     def __call__(self, x) -> Fraction:
         """Exact value at x; raises DomainError outside the interval."""
         x = Fraction(x)
-        xs = self._xs
-        if not (xs[0] <= x <= xs[-1]):
-            raise DomainError(f"{x} outside the domain [{xs[0]}, {xs[-1]}]")
-        lap = self._lap_tuple()[self._lap_index_at(x)]
-        return lap.slope * x + lap.intercept
+        lo, hi = self.domain
+        if not (lo <= x <= hi):
+            raise DomainError(f"{x} outside the domain [{lo}, {hi}]")
+        return self._lap_at(x)(x)
 
     def iterate(self, x, k: int) -> Fraction:
         """f^k(x) by k-fold evaluation: the slow reference the census tests compare against."""
@@ -194,40 +212,47 @@ class PLMap:
     # -- symbolic pieces ----------------------------------------------------
 
     def _lap_tuple(self) -> tuple[AffinePiece, ...]:
+        """The laps of f, every field narrowed to an int where it is
+        integral; the anchor x's, narrowed alike, are kept in ``_xs``."""
         if self._laps is None:
             out = []
             for (x0, y0), (x1, y1) in zip(self.anchors, self.anchors[1:]):
                 s = (y1 - y0) / (x1 - x0)
-                out.append(AffinePiece(x0, x1, s, y0 - s * x0))
+                out.append(AffinePiece(*map(_narrow, (x0, x1, s, y0 - s * x0))))
+            # _xs first: a reader that finds the laps finds the x's too
+            object.__setattr__(self, "_xs", (*(lap.lo for lap in out), out[-1].hi))
             object.__setattr__(self, "_laps", tuple(out))
         return self._laps
 
-    def _lap_index_at(self, v: Fraction) -> int:
+    def _lap_at(self, v: int | Fraction) -> AffinePiece:
+        """The lap holding v, the last one that starts at or below it."""
+        laps = self._lap_tuple()
         i = bisect_right(self._xs, v) - 1
-        return min(max(i, 0), len(self._xs) - 2)
+        return laps[min(max(i, 0), len(laps) - 1)]
 
     def _compose_with_base(self, pieces: list[AffinePiece], max_pieces: int, k: int) -> list[AffinePiece]:
         """Pieces of f∘g from the pieces of g: split each piece of g at the
         exact preimages of this map's anchor x's, then compose lap by lap.
         g is continuous, so each piece's lower image is the upper image of
-        the piece before it: one evaluation per piece."""
-        xs = self._xs
+        the piece before it: one evaluation per piece.  On an integer map
+        the slopes, intercepts and images stay ints; only the cuts are
+        Fractions."""
         laps = self._lap_tuple()
+        xs = self._xs
         out: list[AffinePiece] = []
         vb = pieces[0](pieces[0].lo)
         for p in pieces:
             s, t = p.slope, p.intercept
             if s == 0:
-                lap = laps[self._lap_index_at(t)]
-                out.append(AffinePiece(p.lo, p.hi, Fraction(0), lap(t)))
+                out.append(AffinePiece(p.lo, p.hi, 0, self._lap_at(t)(t)))
                 vb = t
             else:
-                va, vb = vb, s * p.hi + t
+                va, vb = vb, _narrow(s * p.hi + t)
                 a, b = (va, vb) if va <= vb else (vb, va)
                 # the image [a, b] crosses the anchors xs[i:j], so its
                 # sub-pieces lie on laps[i-1:j], in x order for a rising piece
                 i, j = bisect_right(xs, a), bisect_left(xs, b)
-                cuts = [(x - t) / s for x in xs[i:j]]
+                cuts = [Fraction(x - t, s) for x in xs[i:j]]
                 hit = laps[i - 1 : j]
                 if s < 0:
                     cuts.reverse()
@@ -267,10 +292,10 @@ class PLMap:
             data: _MarkovData | bool = False
             laps = self._lap_tuple()
             # f sends integers to integers iff each lap has integer ends, slope and intercept
-            if all(v.denominator == 1 for lap in laps for v in lap):
-                lo = int(self._xs[0])
-                slopes = [int(lap.slope) for lap in laps for _ in range(int(lap.hi - lap.lo))]
-                intercepts = [int(lap.intercept) for lap in laps for _ in range(int(lap.hi - lap.lo))]
+            if all(type(v) is int for lap in laps for v in lap):
+                lo = laps[0].lo
+                slopes = [lap.slope for lap in laps for _ in range(lap.hi - lap.lo)]
+                intercepts = [lap.intercept for lap in laps for _ in range(lap.hi - lap.lo)]
                 values = [s * (lo + i) + t for i, (s, t) in enumerate(zip(slopes, intercepts))]
                 values.append(int(self.anchors[-1][1]))
                 A = [
@@ -327,15 +352,14 @@ class PLMap:
         return "pieces"
 
     def _pieces_solve(self, k: int, sign: int, max_pieces: int) -> set[Fraction]:
-        sgn = Fraction(sign)
         sols: set[Fraction] = set()
         for p in self.iterate_pieces(k, max_pieces):
             # slope*x + intercept = sign*x on [lo, hi]
-            if p.slope == sgn:
+            if p.slope == sign:
                 if p.intercept == 0:
-                    raise InfiniteSolutions(p.lo, p.hi, k, sign)
+                    raise InfiniteSolutions(Fraction(p.lo), Fraction(p.hi), k, sign)
             else:
-                x = p.intercept / (sgn - p.slope)
+                x = Fraction(p.intercept, sign - p.slope)
                 if p.lo <= x <= p.hi:
                     sols.add(x)
         return sols
@@ -385,7 +409,7 @@ class PLMap:
                 if s == sign * s0:
                     if unit:
                         a = p - (s0 < 0)
-                        b, anchors = a + 1, {int(x) for x in self._xs}
+                        b, anchors = a + 1, set(self._xs)
                         while b < hi and anchors.isdisjoint(orbit(b)):
                             b += 1
                         raise InfiniteSolutions(Fraction(a), Fraction(b), k, sign)
@@ -441,7 +465,8 @@ class PLMap:
             raise ValueError("sign must be +1 or -1")
         if max_pieces < 1:
             raise ValueError("max_pieces must be >= 1")
-        if sign == -1 and not (self._xs[0] <= 0 <= self._xs[-1]):
+        lo, hi = self.domain
+        if sign == -1 and not (lo <= 0 <= hi):
             raise DomainError("f^k(x) = -x needs 0 inside the domain")
         if self._resolve_method(k, method) == "markov":
             md = self._markov_data()

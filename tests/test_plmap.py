@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from plcensus.exactnum import Poly, charpoly
 from plcensus.families import make_base_map, make_fmn, make_gn, make_hjmn, make_pn
@@ -98,7 +98,7 @@ def test_tiling_and_composition_soundness():
             _assert_tiling(m, pieces)
             # evaluating the piece containing x equals k-fold eval
             for p in pieces:
-                for x in (p.lo, (p.lo + p.hi) / 2, p.hi):
+                for x in (p.lo, F(p.lo + p.hi, 2), p.hi):
                     assert p(x) == m.iterate(x, k)
 
 
@@ -122,6 +122,44 @@ def test_composition_soundness_random_points(ix, k, which):
     assert piece(x) == m.iterate(x, k)
 
 
+# integer maps as the integer census tests draw them, and rational maps on
+# the anchor grid of the rational census tests: x in sixths, y in quarters
+INTEGER_MAPS = st.tuples(st.integers(-3, 1), st.integers(2, 5)).flatmap(
+    lambda lo_n: st.lists(st.integers(0, lo_n[1]), min_size=lo_n[1] + 1, max_size=lo_n[1] + 1)
+    .filter(lambda vs: all(a != b for a, b in zip(vs, vs[1:])))
+    .map(lambda vs: PLMap([(lo_n[0] + i, lo_n[0] + v) for i, v in enumerate(vs)]))
+)
+RATIONAL_MAPS = st.lists(st.integers(1, 5), unique=True, max_size=4).map(lambda xs: [0, *sorted(xs), 6]).flatmap(
+    lambda xs: st.lists(st.integers(0, 4), min_size=len(xs), max_size=len(xs)).map(
+        lambda ys: PLMap([(F(x, 6), F(y, 4)) for x, y in zip(xs, ys)])
+    )
+)
+
+
+@given(m=st.one_of(INTEGER_MAPS, RATIONAL_MAPS), k=st.integers(1, 6), sign=st.sampled_from([1, -1]))
+@example(m=PLMap([(0, 0), (3, 3)]), k=1, sign=1)
+@example(m=PLMap([(0, 0), (F(1, 2), F(1, 2)), (1, 0)]), k=1, sign=1)
+@settings(max_examples=50, deadline=None)
+def test_pieces_and_solutions_stay_exact(m, k, sign):
+    # no float reaches a piece, a solution point or a witness: piece fields
+    # are ints where integral and Fractions otherwise, and the rest Fractions
+    for p in m.iterate_pieces(k):
+        assert all(type(v) in (int, F) for v in p), p
+        for x in (p.lo, F(p.lo + p.hi, 2), p.hi):
+            assert p(x) == m.iterate(x, k)
+    lo, hi = m.domain
+    sign = sign if lo <= 0 <= hi else 1
+    for method in ("pieces", "markov"):
+        try:
+            points = m.solution_set(k, sign=sign, method=method)
+        except NotMarkovError:
+            continue
+        except InfiniteSolutions as exc:
+            assert all(type(v) is F for v in exc.witness), (method, exc.witness)
+            continue
+        assert all(type(x) is F for x in points), (method, points)
+
+
 def test_piece_limit_guard():
     with pytest.raises(PieceLimitError):
         make_gn(1).iterate_pieces(40, max_pieces=1000)
@@ -133,16 +171,18 @@ def test_piece_limit_guard():
 
 
 def test_default_piece_budget_bounds_memory():
-    # at the measured peak per piece, a build of the default budget's size
+    # at the larger measured peak per piece, an integer map's int pieces or
+    # a rational map's Fraction pieces, a build of the default budget's size
     # stays under 512 MiB
-    m = make_gn(1)
-    tracemalloc.start()
-    try:
-        size = len(m.iterate_pieces(18))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak / size * DEFAULT_MAX_PIECES <= 2**29
+    per_piece = []
+    for m, k in ((make_gn(1), 18), (PLMap([(0, F(1, 4)), (F(1, 2), 1), (F(2, 3), 0), (1, F(1, 2))]), 9)):
+        tracemalloc.start()
+        try:
+            size = len(m.iterate_pieces(k))
+            per_piece.append(tracemalloc.get_traced_memory()[1] / size)
+        finally:
+            tracemalloc.stop()
+    assert max(per_piece) * DEFAULT_MAX_PIECES <= 2**29
 
 
 @pytest.mark.parametrize("m", [make_gn(1), make_gn(2), make_base_map()], ids=["g1", "g2", "base"])
