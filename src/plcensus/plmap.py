@@ -33,6 +33,11 @@ integral and as a Fraction otherwise, so the pieces of an integer map compose
 in int and only the cut points are Fractions.  Solution points,
 ``InfiniteSolutions`` witnesses, ``domain``, ``anchors`` and values of the
 map are always Fractions.
+
+Both engines decide, count and order the solutions in integer arithmetic and
+build a Fraction only for a point they return.  A piece of f^k owns the
+solutions on [lo, hi), the last one on [lo, hi]; the ``markov`` engine walks
+its words in x order.  Either way the points come out ascending, unsorted.
 """
 
 from __future__ import annotations
@@ -103,9 +108,9 @@ class AffinePiece(NamedTuple):
 
 
 class SolutionSet(tuple):
-    """Exact, sorted solution set of f^k(x) = sign*x: a tuple of its points,
-    also read as ``points``.  An equation that holds on a whole interval
-    raises InfiniteSolutions instead."""
+    """Exact solution set of f^k(x) = sign*x: a tuple of its points in
+    ascending order, also read as ``points``.  An equation that holds on a
+    whole interval raises InfiniteSolutions instead."""
 
     __slots__ = ()
 
@@ -151,12 +156,12 @@ class PLMap:
     Anchors may be ints, Fractions, or anything ``Fraction`` accepts.
     Instances are immutable; all operations are pure and safe to share
     across threads.  Every internal memo is an immutable value that one
-    assignment replaces whole: the laps and their anchor x's, the Markov
-    data, the last iterate f^j built as ``(j, pieces)`` and the last matrix
-    power as ``(j, A^j)``.
+    assignment replaces whole: the laps and their anchors' x's and y's, the
+    Markov data, the last iterate f^j built as ``(j, pieces, values at the
+    piece ends)`` and the last matrix power as ``(j, A^j)``.
     """
 
-    __slots__ = ("anchors", "_xs", "_laps", "_markov", "_iterate", "_power")
+    __slots__ = ("anchors", "_xs", "_ys", "_laps", "_markov", "_iterate", "_power")
 
     def __init__(self, anchors):
         pts = [(Fraction(x), Fraction(y)) for x, y in anchors]
@@ -170,6 +175,7 @@ class PLMap:
             raise ValueError(f"anchor values leave [{lo}, {hi}]; not a self-map")
         object.__setattr__(self, "anchors", tuple(pts))
         object.__setattr__(self, "_xs", None)
+        object.__setattr__(self, "_ys", None)
         object.__setattr__(self, "_laps", None)
         object.__setattr__(self, "_markov", None)
         object.__setattr__(self, "_iterate", None)
@@ -213,14 +219,16 @@ class PLMap:
 
     def _lap_tuple(self) -> tuple[AffinePiece, ...]:
         """The laps of f, every field narrowed to an int where it is
-        integral; the anchor x's, narrowed alike, are kept in ``_xs``."""
+        integral; the anchor x's and y's, narrowed alike, are kept in
+        ``_xs`` and ``_ys``."""
         if self._laps is None:
             out = []
             for (x0, y0), (x1, y1) in zip(self.anchors, self.anchors[1:]):
                 s = (y1 - y0) / (x1 - x0)
                 out.append(AffinePiece(*map(_narrow, (x0, x1, s, y0 - s * x0))))
-            # _xs first: a reader that finds the laps finds the x's too
+            # _xs and _ys first: a reader that finds the laps finds them too
             object.__setattr__(self, "_xs", (*(lap.lo for lap in out), out[-1].hi))
+            object.__setattr__(self, "_ys", tuple(_narrow(y) for _, y in self.anchors))
             object.__setattr__(self, "_laps", tuple(out))
         return self._laps
 
@@ -230,39 +238,43 @@ class PLMap:
         i = bisect_right(self._xs, v) - 1
         return laps[min(max(i, 0), len(laps) - 1)]
 
-    def _compose_with_base(self, pieces: list[AffinePiece], max_pieces: int, k: int) -> list[AffinePiece]:
-        """Pieces of f∘g from the pieces of g: split each piece of g at the
-        exact preimages of this map's anchor x's, then compose lap by lap.
-        g is continuous, so each piece's lower image is the upper image of
-        the piece before it: one evaluation per piece.  On an integer map
-        the slopes, intercepts and images stay ints; only the cuts are
-        Fractions."""
-        laps = self._lap_tuple()
-        xs = self._xs
+    def _compose_with_base(
+        self, pieces: list[AffinePiece], ends: list, max_pieces: int, k: int
+    ) -> tuple[list[AffinePiece], list]:
+        """Pieces of f∘g and its values at their ends (``ends[0]`` at the
+        domain's lower end, ``ends[i + 1]`` at ``pieces[i].hi``), from those
+        of g: split each piece of g at the exact preimages of this map's
+        anchor x's, then compose lap by lap.  A cut at anchor x_i maps to
+        y_i and an end of g to f of g's value there, so no end is evaluated.
+        On an integer map all but the cuts stay ints."""
+        laps, xs, ys = self._lap_tuple(), self._xs, self._ys
         out: list[AffinePiece] = []
-        vb = pieces[0](pieces[0].lo)
-        for p in pieces:
+        v = ends[0]
+        out_ends = [self._lap_at(v)(v)]
+        for p, va, vb in zip(pieces, ends, ends[1:]):
             s, t = p.slope, p.intercept
             if s == 0:
-                out.append(AffinePiece(p.lo, p.hi, 0, self._lap_at(t)(t)))
-                vb = t
+                y = self._lap_at(t)(t)
+                out.append(AffinePiece(p.lo, p.hi, 0, y))
+                out_ends.append(y)
             else:
-                va, vb = vb, _narrow(s * p.hi + t)
                 a, b = (va, vb) if va <= vb else (vb, va)
                 # the image [a, b] crosses the anchors xs[i:j], so its
                 # sub-pieces lie on laps[i-1:j], in x order for a rising piece
                 i, j = bisect_right(xs, a), bisect_left(xs, b)
                 cuts = [Fraction(x - t, s) for x in xs[i:j]]
-                hit = laps[i - 1 : j]
+                hit, cut_ends = laps[i - 1 : j], ys[i:j]
                 if s < 0:
                     cuts.reverse()
-                    hit = hit[::-1]
+                    hit, cut_ends = hit[::-1], cut_ends[::-1]
                 bounds = [p.lo, *cuts, p.hi]
-                for u, v, lap in zip(bounds, bounds[1:], hit):
-                    out.append(AffinePiece(u, v, lap.slope * s, lap.slope * t + lap.intercept))
+                for u, w, lap in zip(bounds, bounds[1:], hit):
+                    out.append(AffinePiece(u, w, lap.slope * s, lap.slope * t + lap.intercept))
+                out_ends += cut_ends
+                out_ends.append(hit[-1](vb))
             if len(out) > max_pieces:
                 raise PieceLimitError(max_pieces, k)
-        return out
+        return out, out_ends
 
     def iterate_pieces(self, k: int, max_pieces: int = DEFAULT_MAX_PIECES) -> list[AffinePiece]:
         """The affine pieces of f^k, tiling the domain in ascending order.
@@ -277,12 +289,16 @@ class PLMap:
         if max_pieces < 1:
             raise ValueError("max_pieces must be >= 1")
         memo = self._iterate
-        j, pieces = memo if memo and memo[0] <= k else (1, self._lap_tuple())
+        if memo and memo[0] <= k:
+            j, pieces, ends = memo
+        else:
+            j, pieces = 1, self._lap_tuple()
+            ends = self._ys
         if len(pieces) > max_pieces:
             raise PieceLimitError(max_pieces, k)
         for _ in range(k - j):
-            pieces = self._compose_with_base(pieces, max_pieces, k)
-        object.__setattr__(self, "_iterate", (k, tuple(pieces)))
+            pieces, ends = self._compose_with_base(pieces, ends, max_pieces, k)
+        object.__setattr__(self, "_iterate", (k, tuple(pieces), tuple(ends)))
         return list(pieces)
 
     # -- Markov structure ---------------------------------------------------
@@ -351,18 +367,35 @@ class PLMap:
             return "markov"
         return "pieces"
 
-    def _pieces_solve(self, k: int, sign: int, max_pieces: int) -> set[Fraction]:
-        sols: set[Fraction] = set()
-        for p in self.iterate_pieces(k, max_pieces):
-            # slope*x + intercept = sign*x on [lo, hi]
-            if p.slope == sign:
-                if p.intercept == 0:
-                    raise InfiniteSolutions(Fraction(p.lo), Fraction(p.hi), k, sign)
-            else:
-                x = Fraction(p.intercept, sign - p.slope)
-                if p.lo <= x <= p.hi:
-                    sols.add(x)
-        return sols
+    def _pieces_solve(self, k: int, sign: int, max_pieces: int, count: bool) -> int | list[Fraction]:
+        """The roots of f^k(x) = sign*x in ascending order, or their number.
+
+        Each piece owns the roots on [lo, hi), the last one on [lo, hi], so
+        a root on a shared end is taken once, by the piece that starts
+        there: f^k is continuous, so that piece has the same root, or slope
+        sign and intercept 0, which raises InfiniteSolutions.  A root N/D,
+        D > 0, is placed by cross-multiplying with the numerators and
+        denominators of the ends, which ints and Fractions both carry, so
+        only a returned point becomes a Fraction."""
+        pieces = self.iterate_pieces(k, max_pieces)
+        last = pieces[-1]
+        roots = []
+        for p in pieces:
+            lo, hi, s, t = p
+            # slope*x + intercept = sign*x
+            if s == sign:
+                if t == 0:
+                    raise InfiniteSolutions(Fraction(lo), Fraction(hi), k, sign)
+                continue
+            d = sign - s
+            N, D = t.numerator * d.denominator, t.denominator * d.numerator
+            if D < 0:
+                N, D = -N, -D
+            if lo.numerator * D <= N * lo.denominator:
+                above = N * hi.denominator - hi.numerator * D
+                if above < 0 or (above == 0 and p is last):
+                    roots.append((N, D))
+        return len(roots) if count else [Fraction(N, D) for N, D in roots]
 
     def _int_solutions(self, md: _MarkovData, k: int, sign: int) -> tuple[list[int], int]:
         """The integer solutions p of f^k(p) = sign*p, and the number of closed
@@ -426,12 +459,24 @@ class PLMap:
                 total += Ak[j][target]
         return total - overlap + len(ints)
 
-    def _markov_enumerate(self, md: _MarkovData, k: int, sign: int, max_pieces: int) -> set[Fraction]:
-        """Walk every admissible word; each length-k word is one piece of f^k,
-        so the words count against the same budget as the pieces engine."""
-        sols = {Fraction(p) for p in self._int_solutions(md, k, sign)[0]}
+    def _markov_enumerate(self, md: _MarkovData, k: int, sign: int, max_pieces: int) -> list[Fraction]:
+        """The solutions in ascending order, from a walk of every admissible
+        word; each length-k word is one piece of f^k, so the words count
+        against the same budget as the pieces engine.
+
+        The walk visits the words in x order: the cylinder of a word maps
+        onto its last unit interval by an affine f^d, so a node whose
+        composite slope is positive takes its next letter ascending, and a
+        negative one descending.  A non-integer root lies inside its
+        cylinder, since if some f^i(x), 0 < i < k, were an integer, sign*x
+        would be one too; so these roots come out distinct and ascending,
+        and merge with the ascending integer solutions as two sorted runs.
+        """
+        ints = self._int_solutions(md, k, sign)[0]
         A, slopes, intercepts, n = md.A, md.slopes, md.intercepts, md.n
-        words = 0
+        succ = [[j2 for j2 in range(n) if row[j2]] for row in A]
+        sols: list[Fraction] = []
+        i = words = 0
         for j0 in range(n):
             target = md.target(j0, sign)
             if target is None:
@@ -444,21 +489,24 @@ class PLMap:
                     words += 1
                     if words > max_pieces:
                         raise PieceLimitError(max_pieces, k)
-                    if A[j][target]:
-                        # the integer-orbit walk of _int_solutions has raised if s == sign
-                        x = Fraction(t, sign - s)
-                        if x.denominator != 1:
-                            sols.add(x)
+                    # the integer-orbit walk of _int_solutions has raised if s == sign
+                    d = sign - s
+                    if A[j][target] and t % d:
+                        N, D = (t, d) if d > 0 else (-t, -d)
+                        while i < len(ints) and ints[i] * D < N:
+                            sols.append(Fraction(ints[i]))
+                            i += 1
+                        sols.append(Fraction(N, D))
                     continue
-                row = A[j]
-                for j2 in range(n):
-                    if row[j2]:
-                        stack.append((j2, slopes[j2] * s, slopes[j2] * t + intercepts[j2], depth + 1))
+                # pushed so that the letter nearest the lower end pops first
+                for j2 in succ[j] if s < 0 else reversed(succ[j]):
+                    stack.append((j2, slopes[j2] * s, slopes[j2] * t + intercepts[j2], depth + 1))
+        sols += map(Fraction, ints[i:])
         return sols
 
-    def _solve(self, k: int, sign: int, method: str, max_pieces: int, count: bool) -> int | set[Fraction]:
+    def _solve(self, k: int, sign: int, method: str, max_pieces: int, count: bool) -> int | list[Fraction]:
         """Validate the query, pick the engine, and return the number of
-        solutions (``count``) or the unsorted set of them."""
+        solutions (``count``) or the ascending list of them."""
         if k < 1:
             raise ValueError("k must be >= 1")
         if sign not in (1, -1):
@@ -473,8 +521,7 @@ class PLMap:
             if count:
                 return self._markov_count(md, k, sign)
             return self._markov_enumerate(md, k, sign, max_pieces)
-        sols = self._pieces_solve(k, sign, max_pieces)
-        return len(sols) if count else sols
+        return self._pieces_solve(k, sign, max_pieces, count)
 
     def count_solutions(
         self,
@@ -485,7 +532,9 @@ class PLMap:
     ) -> int:
         """Number of distinct x in the domain with f^k(x) = sign*x.
 
-        Solutions on shared piece endpoints are counted once.  Raises
+        On the ``pieces`` engine each piece of f^k owns the solutions on
+        [lo, hi), the last one on [lo, hi], so a solution on a shared piece
+        end is counted once; no solution point is built.  Raises
         InfiniteSolutions (with a witness interval) when the equation holds
         identically on a piece, and PieceLimitError when the ``pieces``
         engine would exceed ``max_pieces``.
@@ -499,12 +548,15 @@ class PLMap:
         method: str = "auto",
         max_pieces: int = DEFAULT_MAX_PIECES,
     ) -> SolutionSet:
-        """The exact, sorted, deduplicated solution set of f^k(x) = sign*x.
+        """The exact solution set of f^k(x) = sign*x, in ascending order.
 
-        Raises PieceLimitError when more than ``max_pieces`` pieces (or, on
-        the ``markov`` engine, transition words) would be walked.
+        The ``pieces`` engine yields the points in order by the half-open
+        rule of ``count_solutions``, the ``markov`` engine by walking its
+        words in x order; nothing is sorted.  Raises PieceLimitError when
+        more than ``max_pieces`` pieces (or, on the ``markov`` engine,
+        transition words) would be walked.
         """
-        return SolutionSet(sorted(self._solve(k, sign, method, max_pieces, count=False)))
+        return SolutionSet(self._solve(k, sign, method, max_pieces, count=False))
 
     def count_sequence(
         self,

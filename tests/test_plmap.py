@@ -7,6 +7,7 @@ from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
 
+from plcensus import plmap
 from plcensus.exactnum import Poly, charpoly
 from plcensus.families import make_base_map, make_fmn, make_gn, make_hjmn, make_pn
 from plcensus.plmap import (
@@ -314,6 +315,66 @@ def test_solutions_really_solve():
     p3 = make_pn(3)
     for x in p3.solution_set(2, sign=-1).points:
         assert p3.iterate(x, 2) == -x
+
+
+def _closed_interval_solutions(m, k, sign):
+    """The slow reference: one Fraction root per piece of f^k on the closed
+    [lo, hi], deduplicated by a set, then sorted."""
+    sols = set()
+    for p in m.iterate_pieces(k):
+        if p.slope == sign:
+            if p.intercept == 0:
+                raise InfiniteSolutions(F(p.lo), F(p.hi), k, sign)
+        else:
+            x = F(p.intercept, sign - p.slope)
+            if p.lo <= x <= p.hi:
+                sols.add(x)
+    return sorted(sols)
+
+
+@given(m=st.one_of(INTEGER_MAPS, RATIONAL_MAPS), k=st.integers(1, 6), sign=st.sampled_from([1, -1]))
+# a root on the non-integer cut 1/2 shared by two laps, a root at the
+# domain's upper end (the last piece's closed end), one at its lower end
+@example(m=PLMap([(0, F(3, 4)), (F(1, 2), F(1, 2)), (1, 0)]), k=1, sign=1)
+@example(m=PLMap([(0, 1), (1, 0), (2, 2)]), k=1, sign=1)
+@example(m=PLMap([(0, 0), (1, 2), (2, 1)]), k=1, sign=1)
+@settings(max_examples=80, deadline=None)
+def test_solution_sets_match_the_closed_interval_reference(m, k, sign):
+    lo, hi = m.domain
+    sign = sign if lo <= 0 <= hi else 1
+    try:
+        want = _closed_interval_solutions(m, k, sign)
+    except InfiniteSolutions as exc:
+        want = (exc.witness, exc.k, exc.sign)
+    for method in ("pieces", "markov"):
+        try:
+            points = m.solution_set(k, sign=sign, method=method)
+            count = m.count_solutions(k, sign=sign, method=method)
+        except NotMarkovError:
+            continue
+        except InfiniteSolutions as exc:
+            assert (exc.witness, exc.k, exc.sign) == want, (method, m, k, sign)
+            continue
+        assert list(points) == want, (method, m, k, sign)
+        assert all(a < b for a, b in zip(points, points[1:])), (method, points)
+        assert count == len(points), (method, m, k, sign)
+
+
+def test_solve_builds_a_fraction_only_per_returned_point(monkeypatch):
+    # with the pieces of f^k built, both engines decide, count and order the
+    # roots in integers: a count builds no Fraction, a solution set one per point
+    cases = [(make_gn(1), 8, 1), (make_pn(2), 5, -1)]
+    for m, k, _ in cases:
+        m.iterate_pieces(k)
+    built = []
+    monkeypatch.setattr(plmap, "Fraction", lambda *args: built.append(args) or F(*args))
+    for m, k, sign in cases:
+        for method in ("pieces", "markov"):
+            built.clear()
+            count = m.count_solutions(k, sign=sign, method=method)
+            assert built == [], method
+            points = m.solution_set(k, sign=sign, method=method)
+            assert len(built) == len(points) == count > 0, method
 
 
 # -- engine agreement ---------------------------------------------------------
