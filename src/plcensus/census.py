@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import functools
 import operator
-from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from .exactnum import RecurrenceSpec, _recurrence_stream, recurrence_eval
-from .plmap import PLMap
-from .sequences import SequenceSpec, terms
+from .sequences import SequenceSpec, spec_s, terms
+
+if TYPE_CHECKING:
+    from .plmap import PLMap
 
 
 class CensusInvariantError(RuntimeError):
@@ -194,6 +195,8 @@ def symmetric_census(pl_map: PLMap, m: int) -> CensusCount:
     m/m' odd and > 1, and x solves f^(m/p)(x) = -x for each odd p | m/m'.
     Returns (count, count // (2m)); raises CensusInvariantError if 2m does
     not divide the count."""
+    from fractions import Fraction
+
     if not _is_odd_map(pl_map):
         raise ValueError("symmetric census needs an odd map on a symmetric domain")
     odd = [p for p, _ in factorize(m) if p != 2]
@@ -276,8 +279,6 @@ def check_phi1_on_s(n: int, K: int) -> list[CensusReport]:
     """phi1 congruence sweep over the s-family (conjecture status: the
     operator matching these counts is phi2; phi1 passing as well is only
     numerically suggested)."""
-    from .sequences import spec_s
-
     return verify_congruence(spec_s(n), "phi1", K)
 
 

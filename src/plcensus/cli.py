@@ -7,21 +7,21 @@ plus congruence sweep, or a conjecture explorer), and ``gfcheck``
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
 guard exceeded.  JSON is the default output format; all numbers are printed
-in full-precision decimal, whatever their length.
+in full-precision decimal, whatever their length.  Each command loads only
+the library modules it runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
-from fractions import Fraction
 
-from . import census, sequences
-from .exactnum import series_expand
-from .families import _BUILDERS, FamilyParams, MAP_FAMILIES
-from .plmap import DEFAULT_MAX_PIECES, InfiniteSolutions, PieceLimitError, PLMap
+# Each command imports the library modules it runs when it starts: ``seq`` and
+# ``gfcheck`` load ``sequences`` and ``exactnum``, ``verify --conjecture`` adds
+# ``census``, ``count`` loads ``families`` and ``plmap``, and ``verify
+# --family`` loads them all.  The parser loads none of them, so family and map
+# names are checked where the specs and maps are built.
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
@@ -44,6 +44,8 @@ def format_bfile(term_list: list[int]) -> str:
 
 
 def cmd_seq(args) -> int:
+    from . import sequences
+
     spec = sequences.build_spec(args.family, j=args.j, m=args.m, n=args.n)
     term_list = sequences.terms(spec, args.k)
     if args.format == "bfile":
@@ -53,6 +55,8 @@ def cmd_seq(args) -> int:
         for k, v in enumerate(term_list, 1):
             print(f"{k},{v}")
     else:
+        import json
+
         record = {
             "command": "seq",
             "family": args.family,
@@ -64,8 +68,12 @@ def cmd_seq(args) -> int:
     return 0
 
 
-def _custom_map(text: str) -> PLMap:
+def _custom_map(text: str):
     """The map through the anchors of '0:0,1:2,2:0'."""
+    from fractions import Fraction
+
+    from .plmap import PLMap
+
     anchors = []
     for part in text.split(","):
         if part.count(":") != 1:
@@ -75,21 +83,19 @@ def _custom_map(text: str) -> PLMap:
     return PLMap(anchors)
 
 
-def _build_map(args) -> PLMap:
-    # --map custom takes only --anchors; a family map takes no --anchors
-    params = {"n": args.n, "m": args.m, "j": args.j, "anchors": args.anchors}
-    if args.map == "custom":
-        return sequences._build("map", {"custom": (_custom_map, ("anchors",))}, "custom", params)
-    return sequences._build("family", _BUILDERS, args.map, params)
-
-
 def cmd_count(args) -> int:
-    pl_map = _build_map(args)
+    from . import _build, families, plmap
+
+    # --map custom takes only --anchors; a family map takes no --anchors
+    table = {**families._BUILDERS, "custom": (_custom_map, ("anchors",))}
+    params = {"n": args.n, "m": args.m, "j": args.j, "anchors": args.anchors}
+    pl_map = _build("family" if args.map in families._BUILDERS else "map", table, args.map, params)
+    max_pieces = plmap.DEFAULT_MAX_PIECES if args.max_pieces is None else args.max_pieces
     try:
-        count = pl_map.count_solutions(
-            args.k, sign=args.sign, method=args.method, max_pieces=args.max_pieces
-        )
-    except InfiniteSolutions as exc:
+        count = pl_map.count_solutions(args.k, sign=args.sign, method=args.method, max_pieces=max_pieces)
+    except plmap.InfiniteSolutions as exc:
+        import json
+
         lo, hi = exc.witness
         print(
             json.dumps(
@@ -109,6 +115,9 @@ def cmd_count(args) -> int:
 
 def _gf_rows(spec, K: int) -> list[dict]:
     """Generating-function expansion against the recurrence terms, k <= K."""
+    from . import sequences
+    from .exactnum import series_expand
+
     expanded = series_expand(spec.gf_num, spec.gf_den, K)
     wanted = sequences.terms(spec, K)
     return [
@@ -124,21 +133,25 @@ def _summary(t0: float, **fields) -> dict:
 
 ORACLE_MAP = {
     # sequence family -> map selection for the oracle cross-check
-    "a": lambda p: FamilyParams("base2") if p["n"] == 3 else FamilyParams("fmn", n=p["n"], m=2),
-    "b": lambda p: FamilyParams("gn", n=p["n"]),
-    "c": lambda p: FamilyParams("hjmn", j=p["j"], m=p["m"], n=p["n"]),
-    "s": lambda p: FamilyParams("pn", n=p["n"]),
+    "a": lambda p: {"family": "base2"} if p["n"] == 3 else {"family": "fmn", "n": p["n"], "m": 2},
+    "b": lambda p: {"family": "gn", "n": p["n"]},
+    "c": lambda p: {"family": "hjmn", "j": p["j"], "m": p["m"], "n": p["n"]},
+    "s": lambda p: {"family": "pn", "n": p["n"]},
 }
 
 
 def _oracle_check(family: str, spec, depth: int) -> dict:
     """Sequence terms vs the independent map count for k <= depth."""
+    from . import sequences
+    from .families import FamilyParams
+    from .plmap import InfiniteSolutions
+
     params = dict(spec.params)
     if family == "d":
         # no map realizes the d family here; cross-check GF vs recurrence instead
         first = next((r["k"] for r in _gf_rows(spec, depth) if not r["match"]), None)
         return {"kind": "gf", "depth": depth, "pass": first is None, "first_mismatch": first}
-    pl_map = ORACLE_MAP[family](params).build()
+    pl_map = FamilyParams(**ORACLE_MAP[family](params)).build()
     sign = -1 if family == "s" else 1
     try:
         counts = pl_map.count_sequence(depth, sign=sign)
@@ -176,15 +189,21 @@ def _emit_rows(record: dict, fmt: str) -> None:
         for row in rows:
             print(",".join(_csv_cell(row[h]) for h in header))
     else:
+        import json
+
         print(json.dumps(record))
 
 
 def _qrs(n: int, q: str, r: str, s: str, K: int):
+    from . import census
+
     findings = census.explore_qrs(n, _parse_range(q), _parse_range(r), _parse_range(s), K)
     return [f.to_dict() for f in findings], next((f.to_dict() for f in findings if not f.holds), None)
 
 
 def _phi1_on_s(n: int, K: int):
+    from . import census
+
     reports = census.check_phi1_on_s(n, K)
     return [r.to_dict() for r in reports], next((r.k for r in reports if not r.passed), None)
 
@@ -197,7 +216,9 @@ _CONJECTURES = {
 
 
 def _verify_conjecture(name: str, params: dict, fmt: str, t0: float) -> int:
-    rows, first = sequences._build("conjecture", _CONJECTURES, name, params)
+    from . import _build
+
+    rows, first = _build("conjecture", _CONJECTURES, name, params)
     record = {
         "command": "verify",
         "target": f"conjecture:{name}",
@@ -211,6 +232,8 @@ def _verify_conjecture(name: str, params: dict, fmt: str, t0: float) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import census, sequences
+
     t0 = time.perf_counter()
     if args.oracle_depth is not None and args.oracle_depth < 1:
         raise ValueError("--oracle-depth must be >= 1")
@@ -250,6 +273,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gfcheck(args) -> int:
+    from . import sequences
+
     t0 = time.perf_counter()
     spec = sequences.build_spec(args.family, j=args.j, m=args.m, n=args.n)
     rows = _gf_rows(spec, args.K)
@@ -279,26 +304,30 @@ def _add_seq_param_args(p: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="plcensus", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # the names the builders take, shown as argparse shows choices; listed
+    # here so the parser loads no library module, and a test holds them to
+    # the builder tables
+    family_names = "{a,b,c,d,s}"
 
     p = sub.add_parser("seq", help="emit sequence terms")
-    p.add_argument("--family", required=True, choices=sequences.SEQ_FAMILIES)
+    p.add_argument("--family", required=True, metavar=family_names)
     _add_seq_param_args(p)
     p.add_argument("--k", type=int, required=True, help="number of terms")
     p.add_argument("--format", choices=("json", "csv", "bfile"), default="json")
     p.set_defaults(func=cmd_seq)
 
     p = sub.add_parser("count", help="count solutions of f^k(x) = sign*x")
-    p.add_argument("--map", required=True, choices=MAP_FAMILIES + ("custom",))
+    p.add_argument("--map", required=True, metavar="{base2,fmn,gn,hjmn,pn,custom}")
     _add_seq_param_args(p)
     p.add_argument("--k", type=int, required=True, help="iterate power")
     p.add_argument("--sign", type=int, choices=(1, -1), default=1)
     p.add_argument("--anchors", default=None, help="custom map anchors, 'x:y,x:y,...'")
-    p.add_argument("--max-pieces", type=int, default=DEFAULT_MAX_PIECES)
+    p.add_argument("--max-pieces", type=int, default=None)
     p.add_argument("--method", choices=("auto", "pieces", "markov"), default="auto")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("verify", help="oracle cross-check + congruence sweep")
-    p.add_argument("--family", choices=sequences.SEQ_FAMILIES, default=None)
+    p.add_argument("--family", default=None, metavar=family_names)
     p.add_argument("--conjecture", choices=tuple(_CONJECTURES), default=None)
     _add_seq_param_args(p)
     p.add_argument("--K", type=int, required=True, help="congruence sweep bound")
@@ -311,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("gfcheck", help="generating function vs recurrence")
-    p.add_argument("--family", required=True, choices=sequences.SEQ_FAMILIES)
+    p.add_argument("--family", required=True, metavar=family_names)
     _add_seq_param_args(p)
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -330,12 +359,17 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
-    except PieceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return RESOURCE_ERROR
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except RuntimeError as exc:
+        # a PieceLimitError was raised in plmap, which is loaded by then
+        from .plmap import PieceLimitError
+
+        if not isinstance(exc, PieceLimitError):
+            raise
+        print(f"error: {exc}", file=sys.stderr)
+        return RESOURCE_ERROR
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)

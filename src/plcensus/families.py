@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from . import _build
 from .plmap import PLMap
-from .sequences import _build
 
 
 def _merged_anchors(spec: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -104,7 +104,6 @@ _BUILDERS = {
     "hjmn": (make_hjmn, ("j", "m", "n")),
     "pn": (make_pn, ("n",)),
 }
-MAP_FAMILIES = tuple(_BUILDERS)
 
 
 class FamilyParams(NamedTuple):

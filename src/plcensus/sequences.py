@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from . import _build
 from .exactnum import Poly, RecurrenceSpec, recurrence_eval
 
 S2_NOTE = (
@@ -189,22 +190,6 @@ def seq_s(n: int, K: int) -> list[int]:
     return terms(spec_s(n), K)
 
 
-def _build(kind: str, table: dict, name: str, params: dict):
-    """Call the builder that ``table`` maps ``name`` to, as (builder,
-    parameter names in call order), on ``params``.  A parameter is given when
-    it is not None; the builder must get each one it needs and no other."""
-    if name not in table:
-        raise ValueError(f"unknown {kind} {name!r}")
-    fn, names = table[name]
-    missing = [a for a in names if params.get(a) is None]
-    if missing:
-        raise ValueError(f"{kind} {name!r} needs parameters: {', '.join(missing)}")
-    extra = [a for a, v in params.items() if v is not None and a not in names]
-    if extra:
-        raise ValueError(f"{kind} {name!r} does not take: {', '.join(extra)}")
-    return fn(*(params[a] for a in names))
-
-
 _BUILDERS = {
     "a": (spec_a, ("n",)),
     "b": (spec_b, ("n",)),
@@ -212,7 +197,6 @@ _BUILDERS = {
     "d": (spec_d, ("m", "n")),
     "s": (spec_s, ("n",)),
 }
-SEQ_FAMILIES = tuple(_BUILDERS)
 
 
 def build_spec(family: str, **params) -> SequenceSpec:

@@ -99,11 +99,41 @@ def test_count_resource_guard_exit_3(capsys):
     assert "budget" in err
 
 
-@pytest.mark.parametrize("extra", [["--max-pieces", "-5"], ["--max-pieces", "0", "--method", "markov"]])
+@pytest.mark.parametrize(
+    "extra", [["--max-pieces", "-5"], ["--max-pieces", "0", "--method", "markov"], ["--max-pieces", "0"]]
+)
 def test_count_piece_budget_below_1_is_a_usage_error(capsys, extra):
     code, out, err = run(capsys, "count", "--map", "gn", "--n", "1", "--k", "3", *extra)
     assert (code, out) == (2, "")
     assert "max_pieces must be >= 1" in err
+
+
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        ("count --map bogus --k 1", "unknown map 'bogus'; choose from base2, fmn, gn, hjmn, pn, custom"),
+        ("seq --family bogus --k 1", "unknown family 'bogus'; choose from a, b, c, d, s"),
+        ("gfcheck --family e --K 5", "unknown family 'e'; choose from a, b, c, d, s"),
+        ("verify --family bogus --K 5", "unknown family 'bogus'; choose from a, b, c, d, s"),
+    ],
+    ids=["count-map", "seq-family", "gfcheck-family", "verify-family"],
+)
+def test_an_unknown_name_is_a_usage_error_that_lists_the_names(capsys, argv, names):
+    # checked where the map or spec is built, so main returns rather than exits
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert names in err
+
+
+@pytest.mark.parametrize("command", ["seq", "count", "verify", "gfcheck"])
+def test_help_lists_the_names_the_builders_take(capsys, command):
+    # the parser spells the names out, so they must match the builder tables
+    from plcensus import families, sequences
+
+    names = [*families._BUILDERS, "custom"] if command == "count" else list(sequences._BUILDERS)
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert "{" + ",".join(names) + "}" in capsys.readouterr().out
 
 
 def test_count_missing_params(capsys):

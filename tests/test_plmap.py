@@ -140,12 +140,15 @@ RATIONAL_MAPS = st.lists(st.integers(1, 5), unique=True, max_size=4).map(lambda 
 @given(m=st.one_of(INTEGER_MAPS, RATIONAL_MAPS), k=st.integers(1, 6), sign=st.sampled_from([1, -1]))
 @example(m=PLMap([(0, 0), (3, 3)]), k=1, sign=1)
 @example(m=PLMap([(0, 0), (F(1, 2), F(1, 2)), (1, 0)]), k=1, sign=1)
+@example(m=PLMap([(0, 1), (F(1, 3), 1), (F(5, 6), 1), (1, F(1, 2))]), k=3, sign=1)
 @settings(max_examples=50, deadline=None)
 def test_pieces_and_solutions_stay_exact(m, k, sign):
     # no float reaches a piece, a solution point or a witness: piece fields
-    # are ints where integral and Fractions otherwise, and the rest Fractions
+    # are ints or Fractions, a slope or intercept an int where it is integral,
+    # and the rest Fractions
     for p in m.iterate_pieces(k):
         assert all(type(v) in (int, F) for v in p), p
+        assert all(type(v) is int or v.denominator > 1 for v in (p.slope, p.intercept)), p
         for x in (p.lo, F(p.lo + p.hi, 2), p.hi):
             assert p(x) == m.iterate(x, k)
     lo, hi = m.domain

@@ -3,6 +3,7 @@ their ``Name(field=value, ...)`` reprs, and have a len() that agrees with
 iteration; importing the CLI loads neither ``dataclasses`` nor ``inspect``."""
 
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -131,20 +132,61 @@ def test_recurrence_spec_stores_tuples():
         spec._replace(coefficients=[])
 
 
-def _modules_after(code: str) -> set[str]:
-    """Module names loaded by a fresh interpreter that runs ``code``, with
-    this process's copy of plcensus first on the path."""
+def _modules_after(*argv: str) -> set[str]:
+    """Modules that a fresh ``python -X importtime *argv`` imports, with this
+    process's copy of plcensus first on the path."""
     src = os.path.dirname(os.path.dirname(plcensus.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run(
-        [sys.executable, "-c", f"{code}\nimport sys\nprint('\\n'.join(sys.modules))"],
-        env=env, capture_output=True, text=True, check=True, timeout=60,
-    ).stdout
-    return set(out.split())
+    err = subprocess.run(
+        [sys.executable, "-X", "importtime", *argv], env=env, capture_output=True, text=True, check=True, timeout=60,
+    ).stderr
+    return set(re.findall(r"^import time:\s*\d+\s*\|\s*\d+\s*\|\s*(\S+)\s*$", err, re.M))
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # against a bare interpreter, so modules that site preloads do not count
-    added = _modules_after("import plcensus.cli") - _modules_after("")
+    added = _modules_after("-c", "import plcensus.cli") - _modules_after("-c", "")
     assert "plcensus.cli" in added
     assert not {"dataclasses", "inspect"} & added, sorted(added)
+
+
+def _watched(added: set[str]) -> set[str]:
+    """The plcensus submodules, fractions and json among ``added``."""
+    return {m.removeprefix("plcensus.") for m in added if m.startswith("plcensus.") or m in ("fractions", "json")}
+
+
+def test_importing_the_package_or_the_cli_loads_no_library_module():
+    bare = _modules_after("-c", "")
+    assert _watched(_modules_after("-c", "import plcensus") - bare) == set()
+    assert _watched(_modules_after("-c", "import plcensus.cli") - bare) == {"cli"}
+
+
+# command -> the plcensus submodules, fractions and json that running it loads
+COMMAND_MODULES = {
+    "seq --family b --n 1 --k 5 --format bfile": {"sequences", "exactnum"},
+    "seq --family a --n 3 --k 2": {"sequences", "exactnum", "json"},
+    "gfcheck --family d --m 1 --n 2 --K 20": {"sequences", "exactnum", "json"},
+    "verify --conjecture phi1-on-s --n 2 --K 20": {"sequences", "exactnum", "census", "json"},
+    "count --map gn --n 1 --k 6": {"families", "plmap", "fractions"},
+    "verify --family a --n 4 --K 20": {"sequences", "exactnum", "census", "families", "plmap", "fractions", "json"},
+}
+
+
+@pytest.mark.parametrize("argv", COMMAND_MODULES)
+def test_a_command_loads_only_the_modules_it_runs(argv):
+    # plcensus.cli runs as __main__, so it is not among the imports
+    added = _modules_after("-m", "plcensus.cli", *argv.split()) - _modules_after("-c", "")
+    assert _watched(added) == COMMAND_MODULES[argv]
+
+
+def test_the_package_exports_load_on_first_use(monkeypatch):
+    namespace = {}
+    exec("from plcensus import *", namespace)
+    assert {name for name in namespace if name != "__builtins__"} == set(plcensus.__all__)
+    assert set(plcensus.__all__) <= set(dir(plcensus))
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        plcensus.nope
+    # an export is looked up on every access, never copied into the package
+    monkeypatch.setattr(plcensus.census, "phi1", lambda m, f: -1)
+    assert plcensus.phi1(6, None) == -1
+    assert "phi1" not in vars(plcensus)
