@@ -19,18 +19,17 @@ Counting runs on one of two interchangeable engines:
   This engine needs time polynomial in k.
 
 Both engines are exact and agree wherever both apply (the test suite checks
-them against each other).  ``method="auto"`` stays on ``pieces`` while
-laps^(k+1) is within ``AUTO_PIECE_THRESHOLD``, since a composition step splits
-a piece into at most one piece per lap, so f^(k+1) has at most that many
-pieces; no matrix is built then.  Past that bound it picks ``markov`` for an
-eligible map when the entries of A^k sum to more than the threshold.  That
-sum counts the length-(k+1) transition words, which are the pieces of
-f^(k+1), not f^k, on a map anchored at every integer: for ``hjmn(4, 3, 3)``
-it is 10,063 at k = 4, where f^4 has 1,633 pieces.
+them against each other).  ``method="auto"`` picks by size.  A composition
+step splits a piece into at most one piece per lap, so f^k has at most
+laps^k pieces, while one product of the n x n unit-partition matrices costs
+n^3 multiply-adds.  So ``auto`` runs ``markov`` when the map is eligible (int
+fields and a nonzero slope on every lap, read off the laps, so no matrix is
+built to decide), when its matrix fits the piece budget (n^2 <=
+``max_pieces``) and when laps^k > n^3; otherwise it runs ``pieces``.
 
 No float enters.  The pieces hold every exact number as an int where it is
 integral and as a Fraction otherwise, so the pieces of an integer map compose
-in int and only the cut points are Fractions.  Solution points,
+in int and only the cuts between integers are Fractions.  Solution points,
 ``InfiniteSolutions`` witnesses, ``domain``, ``anchors`` and values of the
 map are always Fractions.
 
@@ -49,10 +48,6 @@ from typing import NamedTuple
 # a piece with int fields (an integer map) takes about 360 bytes and one with
 # Fraction fields about 480, so a build within the default stays under 250 MB
 DEFAULT_MAX_PIECES = 500_000
-# auto method: pieces while laps^(k+1) is at most this; past it, eligible maps
-# switch to the transition-matrix engine when the entries of A^k, which count
-# the length-(k+1) transition words, sum to more than this
-AUTO_PIECE_THRESHOLD = 10_000
 
 
 def _narrow(v):
@@ -94,8 +89,7 @@ class AffinePiece(NamedTuple):
     """One affine lap of an iterate: x -> slope*x + intercept on [lo, hi].
 
     Each field is an exact rational, an int where it is integral and a
-    Fraction otherwise, except that a lo or hi where the build cut a piece
-    is always a Fraction; equal values compare and hash alike either way.
+    Fraction otherwise; equal values compare and hash alike either way.
     Halve with ``Fraction(lo + hi, 2)``, since ``/`` on two ints is a float.
     """
 
@@ -106,6 +100,13 @@ class AffinePiece(NamedTuple):
 
     def __call__(self, x: int | Fraction) -> int | Fraction:
         return self.slope * x + self.intercept
+
+
+def _quotient(a, b):
+    """a / b, an int when b divides a: ``divmod`` on two ints stays in int,
+    so only a cut between integers builds a Fraction."""
+    q, r = divmod(a, b)
+    return Fraction(a, b) if r else q
 
 
 def _narrowed_piece(lo, hi, slope, intercept) -> AffinePiece:
@@ -251,12 +252,12 @@ class PLMap:
         of g: split each piece of g at the exact preimages of this map's
         anchor x's, then compose lap by lap.  A cut at anchor x_i maps to
         y_i and an end of g to f of g's value there, so no end is evaluated.
-        On an integer map all but the cuts stay ints."""
+        On an integer map all but the cuts between integers stay ints."""
         laps, xs, ys = self._lap_tuple(), self._xs, self._ys
         # int slopes and intercepts compose to ints; a Fraction operand gives
         # a Fraction, narrowed where it is integral.  Narrowing on integer
-        # maps too made the census workload 8% slower, and narrowing every
-        # cut about 6%
+        # maps too made the census workload 8% slower; a cut is narrowed by
+        # _quotient, which builds no Fraction where it is integral
         integral = all(type(lap.slope) is type(lap.intercept) is int for lap in laps)
         piece = AffinePiece if integral else _narrowed_piece
         out: list[AffinePiece] = []
@@ -273,7 +274,7 @@ class PLMap:
                 # the image [a, b] crosses the anchors xs[i:j], so its
                 # sub-pieces lie on laps[i-1:j], in x order for a rising piece
                 i, j = bisect_right(xs, a), bisect_left(xs, b)
-                cuts = [Fraction(x - t, s) for x in xs[i:j]]
+                cuts = [_quotient(x - t, s) for x in xs[i:j]]
                 hit, cut_ends = laps[i - 1 : j], ys[i:j]
                 if s < 0:
                     cuts.reverse()
@@ -358,15 +359,14 @@ class PLMap:
 
     # -- solution counting --------------------------------------------------
 
-    def _resolve_method(self, k: int, method: str) -> str:
+    def _resolve_method(self, k: int, method: str, max_pieces: int) -> str:
         if method not in ("auto", "pieces", "markov"):
             raise ValueError("method must be 'auto', 'pieces', or 'markov'")
-        # f^(k+1) has at most laps^(k+1) pieces: within the threshold, build no matrix
-        laps = len(self._lap_tuple())
-        if method == "pieces" or (method == "auto" and laps ** (k + 1) <= AUTO_PIECE_THRESHOLD):
+        if method == "pieces":
             return "pieces"
-        md = self._markov_data()
-        usable = md is not None and all(md.slopes)
+        # the test of _markov_data plus nonzero slopes, without building A
+        laps = self._lap_tuple()
+        usable = all(lap.slope and all(type(v) is int for v in lap) for lap in laps)
         if method == "markov":
             if not usable:
                 raise NotMarkovError(
@@ -374,7 +374,10 @@ class PLMap:
                     "with nonzero slope on every unit interval"
                 )
             return "markov"
-        if usable and sum(map(sum, self._matrix_power(md, k))) > AUTO_PIECE_THRESHOLD:
+        # f^k has at most laps^k pieces; one product of the n x n matrices
+        # costs n^3 multiply-adds, and A holds n^2 entries
+        n = laps[-1].hi - laps[0].lo
+        if usable and n * n <= max_pieces and len(laps) ** k > n**3:
             return "markov"
         return "pieces"
 
@@ -527,7 +530,7 @@ class PLMap:
         lo, hi = self.domain
         if sign == -1 and not (lo <= 0 <= hi):
             raise DomainError("f^k(x) = -x needs 0 inside the domain")
-        if self._resolve_method(k, method) == "markov":
+        if self._resolve_method(k, method, max_pieces) == "markov":
             md = self._markov_data()
             if count:
                 return self._markov_count(md, k, sign)

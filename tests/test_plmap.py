@@ -141,14 +141,15 @@ RATIONAL_MAPS = st.lists(st.integers(1, 5), unique=True, max_size=4).map(lambda 
 @example(m=PLMap([(0, 0), (3, 3)]), k=1, sign=1)
 @example(m=PLMap([(0, 0), (F(1, 2), F(1, 2)), (1, 0)]), k=1, sign=1)
 @example(m=PLMap([(0, 1), (F(1, 3), 1), (F(5, 6), 1), (1, F(1, 2))]), k=3, sign=1)
+@example(m=PLMap([(0, 1), (1, 0), (3, 2)]), k=2, sign=1)
 @settings(max_examples=50, deadline=None)
 def test_pieces_and_solutions_stay_exact(m, k, sign):
-    # no float reaches a piece, a solution point or a witness: piece fields
-    # are ints or Fractions, a slope or intercept an int where it is integral,
-    # and the rest Fractions
+    # no float reaches a piece, a solution point or a witness: piece fields,
+    # cut ends included, are ints where they are integral and Fractions
+    # otherwise, and the rest Fractions
     for p in m.iterate_pieces(k):
         assert all(type(v) in (int, F) for v in p), p
-        assert all(type(v) is int or v.denominator > 1 for v in (p.slope, p.intercept)), p
+        assert all(type(v) is int or v.denominator > 1 for v in p), p
         for x in (p.lo, F(p.lo + p.hi, 2), p.hi):
             assert p(x) == m.iterate(x, k)
     lo, hi = m.domain
@@ -169,7 +170,8 @@ def test_piece_limit_guard():
         make_gn(1).iterate_pieces(40, max_pieces=1000)
     with pytest.raises(PieceLimitError):
         make_gn(1).count_solutions(40, method="pieces", max_pieces=1000)
-    # auto picks markov here; its enumeration walks one word per piece of f^k
+    # auto picks markov here (2^22 pieces against one 2 x 2 product); its
+    # enumeration walks one word per piece of f^k, against the same budget
     with pytest.raises(PieceLimitError):
         make_gn(1).solution_set(22, max_pieces=1000)
 
@@ -431,6 +433,11 @@ def test_markov_engine_rejects_non_markov():
         bent.count_solutions(1, method="markov")
     # auto still works through the pieces engine
     assert bent.count_solutions(1) == 2
+    # so on an integer map with a flat lap, at a k where 2^k > n^3 = 8
+    flat = PLMap([(0, 0), (1, 2), (2, 2)])
+    with pytest.raises(NotMarkovError):
+        flat.count_solutions(4, method="markov")
+    assert flat.count_solutions(4) == 2
 
 
 @given(st.data())
@@ -526,6 +533,61 @@ def test_markov_count_keeps_one_matrix_power():
     finally:
         tracemalloc.stop()
     assert peak < 0.25 * 2**20
+
+
+def _outcome(solve, k, sign, method):
+    try:
+        return solve(k, sign=sign, method=method)
+    except InfiniteSolutions as e:
+        return e.witness, e.k, e.sign
+
+
+@given(m=INTEGER_MAPS, sign=st.sampled_from([1, -1]))
+@settings(max_examples=40, deadline=None)
+def test_auto_equals_both_engines_across_its_switch(m, sign):
+    # on a map anchored at every integer, laps = n and auto moves from
+    # pieces to markov at k = 4, where laps^k first exceeds n^3
+    sign = sign if m.domain[0] <= 0 <= m.domain[1] else 1
+    for k in range(1, 7):
+        for solve in ("count_solutions", "solution_set"):
+            got = {
+                method: _outcome(getattr(PLMap(m.anchors), solve), k, sign, method)
+                for method in ("auto", "pieces", "markov")
+            }
+            assert got["auto"] == got["pieces"] == got["markov"], (m, k, sign, solve)
+
+
+def test_auto_counts_on_markov_once_laps_to_the_k_exceed_n_cubed():
+    # gn(1): two laps over n = 2 unit intervals, so 2^k > 2^3 from k = 4
+    m = make_gn(1)
+    assert m.count_solutions(3) == 4
+    assert m._iterate[0] == 3 and m._markov is None and m._power is None
+    m = make_gn(1)
+    assert m.count_solutions(4) == 7
+    assert m._iterate is None and m._power[0] == 4
+    # the tent over [0, 400]: 2^13 pieces against 400^3, so no matrix
+    tent = PLMap([(0, 0), (200, 400), (400, 0)])
+    assert tent.count_solutions(13) == 2**13
+    assert tent._markov is None and tent._power is None
+
+
+def test_auto_builds_no_matrix_past_the_piece_budget(monkeypatch):
+    def no_matrix(self):
+        raise AssertionError("auto built the transition matrix")
+
+    monkeypatch.setattr(PLMap, "_markov_data", no_matrix)
+    # two laps of f(x) = 800 - x: 2^29 > 800^3, but A would hold 800^2 >
+    # DEFAULT_MAX_PIECES entries, so auto stays on pieces
+    m = PLMap([(0, 800), (1, 799), (800, 0)])
+    assert 800**2 > DEFAULT_MAX_PIECES and 2**29 > 800**3
+    assert m.count_solutions(29) == 1
+    with pytest.raises(InfiniteSolutions) as info:
+        m.count_solutions(30)
+    assert info.value.witness == (0, 1)
+    # and the piece budget still binds the pieces engine
+    tent = PLMap([(0, 0), (400, 800), (800, 0)])
+    with pytest.raises(PieceLimitError):
+        tent.count_solutions(29, max_pieces=10_000)
 
 
 def test_markov_engine_asymmetric_domain_sign_minus():
