@@ -73,14 +73,23 @@ def _inclusion_exclusion(m: int, pairs: Sequence[tuple[int, int]], acc: Accessor
     """Sum over subsets T of the primes of ``pairs``, (prime, exponent)
     pairs as ``factorize`` returns them, of (-1)^|T| * acc(m / prod(T)).
 
-    Recurses on the first prime p: IE(m, ps) = IE(m, rest) - IE(m // p, rest),
-    so each of the 2^|pairs| terms is fetched once and no term is ever
-    multiplied by a sign; the terms meet in 2^|pairs| - 1 subtractions.
+    IE(m, ps) = acc(m) - Tail(m, ps), where Tail sums the nonempty T;
+    splitting those on whether T holds the first prime p gives
+    Tail(m, [p, *rest]) = IE(m // p, rest) + Tail(m, rest).  Each of
+    the 2^|pairs| terms is fetched once and never multiplied by a sign, and
+    they meet in 2^|pairs| - 1 additions and subtractions.  acc(m) enters
+    only the last one: the others combine terms acc(m / d) with d >= 2,
+    which for a geometrically growing acc are at most about half its size.
     """
-    if not pairs:
-        return acc(m)
-    rest = pairs[1:]
-    return _inclusion_exclusion(m, rest, acc) - _inclusion_exclusion(m // pairs[0][0], rest, acc)
+    return acc(m) - _ie_tail(m, pairs, acc) if pairs else acc(m)
+
+
+def _ie_tail(m: int, pairs: Sequence[tuple[int, int]], acc: Accessor) -> int:
+    """Tail(m, pairs) = acc(m) - IE(m, pairs), for nonempty pairs."""
+    p, rest = pairs[0][0], pairs[1:]
+    if not rest:
+        return acc(m // p)
+    return _inclusion_exclusion(m // p, rest, acc) + _ie_tail(m, rest, acc)
 
 
 def phi1(m: int, phi: Accessor) -> int:

@@ -9,8 +9,7 @@ polynomials.  No floating point anywhere: rationals are stdlib
 from __future__ import annotations
 
 from collections import deque
-from itertools import islice, zip_longest
-from operator import mul
+from itertools import islice, repeat, zip_longest
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 class ExactnessError(ArithmeticError):
@@ -112,17 +111,37 @@ class RecurrenceSpec(_RecurrenceFields):
 
 def _recurrence_stream(spec: RecurrenceSpec) -> Iterator[int]:
     """The terms t_1, t_2, ... without end: the prefix, then the recurrence
-    over a sliding window of the last len(coefficients) terms."""
-    prefix, rev = spec.initial_terms, spec.coefficients[::-1]
+    over a sliding window of the last len(coefficients) terms.
+
+    Only a lag whose coefficient is not 0, 1 or -1 multiplies: a lag of 1 is
+    added, a lag of -1 subtracted and a lag of 0 skipped.  Each step starts
+    from a lag of coefficient other than -1 when there is one, so no term is
+    summed from 0; an all-zero recurrence continues with zeros.
+    """
+    prefix, coeffs = spec.initial_terms, spec.coefficients
+    order = len(coeffs)
     yield from prefix
-    if len(prefix) < len(rev):
+    if len(prefix) < order:
         raise ValueError(
-            f"prefix has {len(prefix)} terms but the order-{len(rev)} "
+            f"prefix has {len(prefix)} terms but the order-{order} "
             "recurrence needs at least that many to continue"
         )
-    window = deque(prefix, len(rev))
+    # (window index, coefficient) of each nonzero lag, the -1 lags last; the
+    # window holds t_(k-order) .. t_(k-1), so lag i sits at index order - i
+    lags = sorted(((order - i, c) for i, c in enumerate(coeffs, 1) if c), key=lambda lag: lag[1] == -1)
+    if not lags:
+        yield from repeat(0)
+    (j0, c0), rest = lags[0], lags[1:]
+    window = deque(prefix, order)
     while True:
-        t = sum(map(mul, rev, window))
+        t = window[j0] if c0 == 1 else c0 * window[j0]
+        for j, c in rest:
+            if c == 1:
+                t += window[j]
+            elif c == -1:
+                t -= window[j]
+            else:
+                t += c * window[j]
         window.append(t)
         yield t
 

@@ -213,6 +213,38 @@ def test_phi_operators_match_moebius_sums(m, data):
     assert phi2(m, acc) == odd_sum - power_of_two
 
 
+def test_inclusion_exclusion_meets_acc_m_in_one_full_size_operation():
+    # acc(k) = 2^(64k) + k has about twice the bits of any acc(m / p); only
+    # the last operation of phi1 / phi2 at m may take acc(m) as an operand
+    sizes = []
+
+    class Sized(int):
+        def __add__(self, other):
+            sizes.append(max(self.bit_length(), other.bit_length()))
+            return Sized(int.__add__(self, other))
+
+        __radd__ = __add__
+
+        def __sub__(self, other):
+            sizes.append(max(self.bit_length(), other.bit_length()))
+            return Sized(int.__sub__(self, other))
+
+        def __rsub__(self, other):
+            sizes.append(max(self.bit_length(), other.bit_length()))
+            return Sized(int.__rsub__(self, other))
+
+    def acc(k):
+        return Sized((1 << 64 * k) + k)
+
+    for m in range(1, 2001):
+        full = acc(m).bit_length()
+        for op in (phi1, phi2):
+            sizes.clear()
+            op(m, acc)
+            large = [bits for bits in sizes if 4 * bits > 3 * full]
+            assert len(large) == (0 if (op, m) == (phi1, 1) else 1), (op.__name__, m, sizes)
+
+
 # -- verify_congruence ---------------------------------------------------------------
 
 def test_verify_a3():

@@ -2,7 +2,7 @@ import pytest
 from fractions import Fraction
 from math import gcd
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from plcensus.exactnum import (
     ExactnessError,
@@ -12,6 +12,7 @@ from plcensus.exactnum import (
     recurrence_eval,
     series_expand,
 )
+from plcensus.sequences import build_spec, terms
 
 
 # -- recurrence_eval ---------------------------------------------------------
@@ -56,11 +57,33 @@ def _naive_recurrence(order, coeffs, prefix, K):
     st.lists(st.integers(-50, 50), min_size=order, max_size=order + 5),
     st.integers(1, 40),
 )))
+# the step's special cases: all-zero lags, a leading zero, unit lags only, a
+# -1 lag first, and zero, unit and other lags mixed
+@example((1, [0], [5], 6))
+@example((2, [0, 0], [1, 2], 6))
+@example((2, [0, 1], [1, 2], 12))
+@example((3, [1, -1, 1], [1, 2, 3], 20))
+@example((2, [-1, -1], [1, 2], 20))
+@example((4, [3, 0, -1, 2], [1, -2, 3, 4], 30))
 @settings(max_examples=150, deadline=None)
 def test_recurrence_matches_naive_loop(case):
     order, coeffs, prefix, K = case
     spec = RecurrenceSpec(tuple(coeffs), tuple(prefix))
     assert recurrence_eval(spec, K) == _naive_recurrence(order, coeffs, prefix, K)
+
+
+@pytest.mark.parametrize("family, params", [
+    ("a", {"n": 6}),
+    ("b", {"n": 3}),
+    ("s", {"n": 4}),
+    ("c", {"j": 3, "m": 4, "n": 3}),
+    ("d", {"m": -1, "n": 4}),
+])
+def test_terms_match_the_generating_function_over_many_limbs(family, params):
+    spec = build_spec(family, **params)
+    got = terms(spec, 1000)
+    assert got == series_expand(spec.gf_num, spec.gf_den, 1000)
+    assert got[-1].bit_length() > 500  # well past a 30-bit limb
 
 
 def test_recurrence_spec_validation():
