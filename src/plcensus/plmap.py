@@ -16,7 +16,9 @@ Counting runs on one of two interchangeable engines:
   with closed walks of the transition graph, except that an integer solution
   counts once in place of the closed walks continuing its one-sided
   neighbourhoods, exactly one walk per side.
-  This engine needs time polynomial in k.
+  This engine needs time polynomial in k.  It keeps its last matrix power
+  A^j and reaches A^k as A^j times A^(k-j), or from A alone, by repeated
+  squaring.
 
 Both engines are exact and agree wherever both apply (the test suite checks
 them against each other).  ``method="auto"`` picks by size.  A composition
@@ -25,13 +27,15 @@ laps^k pieces, while one product of the n x n unit-partition matrices costs
 n^3 multiply-adds.  So ``auto`` runs ``markov`` when the map is eligible (int
 fields and a nonzero slope on every lap, read off the laps, so no matrix is
 built to decide), when its matrix fits the piece budget (n^2 <=
-``max_pieces``) and when laps^k > n^3; otherwise it runs ``pieces``.
+``max_pieces``) and when laps^k > n^3; otherwise it runs ``pieces``.  The
+eligibility and the flip point, the least k with laps^k > n^3, are read once
+per map, with the laps.
 
-No float enters.  The pieces hold every exact number as an int where it is
-integral and as a Fraction otherwise, so the pieces of an integer map compose
-in int and only the cuts between integers are Fractions.  Solution points,
-``InfiniteSolutions`` witnesses, ``domain``, ``anchors`` and values of the
-map are always Fractions.
+No float enters.  The anchors and the pieces hold every exact number as an
+int where it is integral and as a Fraction otherwise, so an integer map finds
+its laps and composes its pieces in int and only the cuts between integers
+are Fractions.  Solution points, ``InfiniteSolutions`` witnesses,
+``domain``, ``anchors`` and values of the map are always Fractions.
 
 Both engines decide, count and order the solutions in integer arithmetic and
 build a Fraction only for a point they return.  A piece of f^k owns the
@@ -45,8 +49,8 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import NamedTuple
 
-# a piece with int fields (an integer map) takes about 360 bytes and one with
-# Fraction fields about 480, so a build within the default stays under 250 MB
+# a piece with int fields (an integer map) takes about 375 bytes and one with
+# Fraction fields about 490, so a build within the default stays under 250 MB
 DEFAULT_MAX_PIECES = 500_000
 
 
@@ -109,6 +113,22 @@ def _quotient(a, b):
     return Fraction(a, b) if r else q
 
 
+def _engine_rule(laps) -> tuple[bool, int | None]:
+    """What ``auto`` needs of a map, read off its laps once: whether the
+    ``markov`` engine can count it (int fields and a nonzero slope on every
+    lap), and the flip point, the least k with laps^k > n^3 over the n unit
+    intervals of the domain, or None where no k flips (one lap, or not
+    usable)."""
+    usable = all(lap.slope and all(type(v) is int for v in lap) for lap in laps)
+    if not usable or len(laps) == 1:
+        return usable, None
+    n_cubed = (laps[-1].hi - laps[0].lo) ** 3
+    flip, power = 1, len(laps)
+    while power <= n_cubed:
+        flip, power = flip + 1, power * len(laps)
+    return usable, flip
+
+
 def _narrowed_piece(lo, hi, slope, intercept) -> AffinePiece:
     return AffinePiece(lo, hi, _narrow(slope), _narrow(intercept))
 
@@ -161,27 +181,31 @@ class PLMap:
 
     Anchors may be ints, Fractions, or anything ``Fraction`` accepts.
     Instances are immutable; all operations are pure and safe to share
-    across threads.  Every internal memo is an immutable value that one
-    assignment replaces whole: the laps and their anchors' x's and y's, the
-    Markov data, the last iterate f^j built as ``(j, pieces, values at the
-    piece ends)`` and the last matrix power as ``(j, A^j)``.
+    across threads.  The anchors' x's and y's are kept narrowed, ints where
+    integral, from construction on.  Every internal memo is an immutable
+    value that one assignment replaces whole: the laps, and with them
+    ``auto``'s rule as ``(usable, flip point)``; the Markov data; the last
+    iterate f^j built as ``(j, pieces, values at the piece ends)``; and the
+    last matrix power as ``(j, A^j)``, which a later A^k resumes by squaring.
     """
 
-    __slots__ = ("anchors", "_xs", "_ys", "_laps", "_markov", "_iterate", "_power")
+    __slots__ = ("anchors", "_xs", "_ys", "_rule", "_laps", "_markov", "_iterate", "_power")
 
     def __init__(self, anchors):
         pts = [(Fraction(x), Fraction(y)) for x, y in anchors]
         if len(pts) < 2:
             raise ValueError("a map needs at least 2 anchors")
-        xs = [p[0] for p in pts]
+        xs = tuple(_narrow(x) for x, _ in pts)
+        ys = tuple(_narrow(y) for _, y in pts)
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise ValueError("anchor x-coordinates must be strictly increasing")
         lo, hi = xs[0], xs[-1]
-        if any(not (lo <= y <= hi) for _, y in pts):
+        if any(not (lo <= y <= hi) for y in ys):
             raise ValueError(f"anchor values leave [{lo}, {hi}]; not a self-map")
         object.__setattr__(self, "anchors", tuple(pts))
-        object.__setattr__(self, "_xs", None)
-        object.__setattr__(self, "_ys", None)
+        object.__setattr__(self, "_xs", xs)
+        object.__setattr__(self, "_ys", ys)
+        object.__setattr__(self, "_rule", None)
         object.__setattr__(self, "_laps", None)
         object.__setattr__(self, "_markov", None)
         object.__setattr__(self, "_iterate", None)
@@ -225,16 +249,16 @@ class PLMap:
 
     def _lap_tuple(self) -> tuple[AffinePiece, ...]:
         """The laps of f, every field narrowed to an int where it is
-        integral; the anchor x's and y's, narrowed alike, are kept in
-        ``_xs`` and ``_ys``."""
+        integral, from the anchor x's and y's narrowed alike in ``_xs`` and
+        ``_ys``; an integer map's laps are found without a Fraction."""
         if self._laps is None:
+            xs, ys = self._xs, self._ys
             out = []
-            for (x0, y0), (x1, y1) in zip(self.anchors, self.anchors[1:]):
-                s = (y1 - y0) / (x1 - x0)
-                out.append(AffinePiece(*map(_narrow, (x0, x1, s, y0 - s * x0))))
-            # _xs and _ys first: a reader that finds the laps finds them too
-            object.__setattr__(self, "_xs", (*(lap.lo for lap in out), out[-1].hi))
-            object.__setattr__(self, "_ys", tuple(_narrow(y) for _, y in self.anchors))
+            for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]):
+                s = _quotient(y1 - y0, x1 - x0)
+                out.append(AffinePiece(x0, x1, s, _narrow(y0 - s * x0)))
+            # the rule first: a reader that finds the laps finds it too
+            object.__setattr__(self, "_rule", _engine_rule(out))
             object.__setattr__(self, "_laps", tuple(out))
         return self._laps
 
@@ -325,25 +349,34 @@ class PLMap:
                 slopes = [lap.slope for lap in laps for _ in range(lap.hi - lap.lo)]
                 intercepts = [lap.intercept for lap in laps for _ in range(lap.hi - lap.lo)]
                 values = [s * (lo + i) + t for i, (s, t) in enumerate(zip(slopes, intercepts))]
-                values.append(int(self.anchors[-1][1]))
-                A = [
-                    [1 if min(u, v) <= q < max(u, v) else 0 for q in range(lo, lo + len(slopes))]
-                    for u, v in zip(values, values[1:])
-                ]
+                values.append(self._ys[-1])
+                # row i is 1 on the unit intervals the image of the i-th one covers
+                A = []
+                for u, v in zip(values, values[1:]):
+                    a, b = (u, v) if u <= v else (v, u)
+                    row = [0] * len(slopes)
+                    row[a - lo : b - lo] = [1] * (b - a)
+                    A.append(row)
                 data = _MarkovData(lo, values, slopes, intercepts, A)
             object.__setattr__(self, "_markov", data)
         return self._markov or None
 
     def _matrix_power(self, md: _MarkovData, k: int) -> list[list[int]]:
-        """A^k, resumed from the last power A^j when j <= k and from A otherwise."""
+        """A^k as A^j times A^(k-j), with A^j the last power when j <= k and
+        j = 0 otherwise; A^(k-j) is reached by repeated squaring of A."""
         from .exactnum import _mat_mul
 
         memo = self._power
-        j, Aj = memo if memo and memo[0] <= k else (1, md.A)
-        for _ in range(k - j):
-            Aj = _mat_mul(Aj, md.A)
-        object.__setattr__(self, "_power", (k, Aj))
-        return Aj
+        Ak, d = (memo[1], k - memo[0]) if memo and memo[0] <= k else (None, k)
+        square = md.A
+        while d:
+            if d & 1:
+                Ak = square if Ak is None else _mat_mul(Ak, square)
+            d >>= 1
+            if d:
+                square = _mat_mul(square, square)
+        object.__setattr__(self, "_power", (k, Ak))
+        return Ak
 
     def transition_matrix(self) -> list[list[int]]:
         """0/1 matrix over unit intervals: entry (i, j) is 1 iff the image of
@@ -364,9 +397,8 @@ class PLMap:
             raise ValueError("method must be 'auto', 'pieces', or 'markov'")
         if method == "pieces":
             return "pieces"
-        # the test of _markov_data plus nonzero slopes, without building A
-        laps = self._lap_tuple()
-        usable = all(lap.slope and all(type(v) is int for v in lap) for lap in laps)
+        self._lap_tuple()
+        usable, flip = self._rule
         if method == "markov":
             if not usable:
                 raise NotMarkovError(
@@ -374,10 +406,11 @@ class PLMap:
                     "with nonzero slope on every unit interval"
                 )
             return "markov"
-        # f^k has at most laps^k pieces; one product of the n x n matrices
-        # costs n^3 multiply-adds, and A holds n^2 entries
-        n = laps[-1].hi - laps[0].lo
-        if usable and n * n <= max_pieces and len(laps) ** k > n**3:
+        # f^k has at most laps^k pieces, which exceeds the n^3 multiply-adds
+        # of one product of the n x n matrices from k = flip on; A holds n^2
+        # entries
+        n = self._xs[-1] - self._xs[0]
+        if flip is not None and k >= flip and n * n <= max_pieces:
             return "markov"
         return "pieces"
 

@@ -341,6 +341,16 @@ def test_symmetric_census_p2():
 def test_symmetric_census_rejects_non_odd():
     with pytest.raises(ValueError):
         symmetric_census(make_base_map(), 2)
+    # odd at every anchor but one: f(-1) = 1 where -f(1) = 0 (and f(-1/2) =
+    # 1/2 where -f(1/2) = 0); adding the anchor (-1, 0) makes the first odd
+    with pytest.raises(ValueError, match="needs an odd map"):
+        symmetric_census(PLMap([(-2, 2), (0, 0), (1, 0), (2, -2)]), 2)
+    with pytest.raises(ValueError, match="needs an odd map"):
+        symmetric_census(PLMap([(-2, 2), (0, 0), (F(1, 2), 0), (2, -2)]), 2)
+    assert symmetric_census(PLMap([(-2, 2), (-1, 0), (0, 0), (1, 0), (2, -2)]), 1) == (2, 1)  # the orbit {-2, 2}
+    # a domain that is not symmetric
+    with pytest.raises(ValueError, match="needs an odd map"):
+        symmetric_census(PLMap([(-1, 1), (0, 0), (2, -1)]), 1)
 
 
 def _least_period_count(mp, m):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
 
-from plcensus import plmap
+from plcensus import exactnum, plmap
 from plcensus.exactnum import Poly, charpoly
 from plcensus.families import make_base_map, make_fmn, make_gn, make_hjmn, make_pn
 from plcensus.plmap import (
@@ -19,6 +19,7 @@ from plcensus.plmap import (
     PieceLimitError,
     PLMap,
 )
+from plcensus.sequences import seq_b, seq_c, seq_s
 
 F = Fraction
 
@@ -53,6 +54,21 @@ def test_eval_accepts_strings_and_ints():
     g1 = make_gn(1)
     assert g1("7/3") == F(7, 3)
     assert g1(3) == 1
+
+
+def test_integer_map_setup_builds_only_the_anchor_fractions(monkeypatch):
+    # an integer map validates its anchors and finds its laps in int: the
+    # only Fractions built, anywhere, are the public anchors
+    built = []
+    new = F.__new__
+    monkeypatch.setattr(F, "__new__", lambda cls, *args, **kw: built.append(args) or new(cls, *args, **kw))
+    for make in (make_base_map, lambda: make_gn(2), lambda: make_hjmn(4, 3, 3), lambda: make_pn(3)):
+        built.clear()
+        m = make()
+        laps = m._lap_tuple()
+        assert len(built) == 2 * len(m.anchors), m
+        assert all(type(v) is int for lap in laps for v in lap), laps
+        assert all(type(v) is F for pt in m.anchors for v in pt), m.anchors
 
 
 # -- iterate_pieces -----------------------------------------------------------
@@ -163,6 +179,20 @@ def test_pieces_and_solutions_stay_exact(m, k, sign):
             assert all(type(v) is F for v in exc.witness), (method, exc.witness)
             continue
         assert all(type(x) is F for x in points), (method, points)
+
+
+@given(m=st.one_of(INTEGER_MAPS, RATIONAL_MAPS))
+@example(m=PLMap([(0, 0), (F(1, 3), 1), (1, F(1, 2))]))
+@settings(max_examples=60, deadline=None)
+def test_laps_match_the_fraction_slope_formula(m):
+    # the laps, found by divmod on the narrowed anchors, equal the slope
+    # (y1 - y0)/(x1 - x0) and intercept y0 - s*x0 taken in Fractions
+    laps = m._lap_tuple()
+    assert len(laps) == len(m.anchors) - 1
+    for lap, (x0, y0), (x1, y1) in zip(laps, m.anchors, m.anchors[1:]):
+        s = (y1 - y0) / (x1 - x0)
+        assert tuple(lap) == (x0, x1, s, y0 - s * x0), (m, lap)
+        assert all(type(v) is int or v.denominator > 1 for v in lap), lap
 
 
 def test_piece_limit_guard():
@@ -535,6 +565,43 @@ def test_markov_count_keeps_one_matrix_power():
     assert peak < 0.25 * 2**20
 
 
+@pytest.mark.parametrize(
+    "make, sign, want",
+    [(lambda: make_gn(2), 1, seq_b(2, 40)), (lambda: make_hjmn(3, 4, 3), 1, seq_c(3, 4, 3, 40)), (lambda: make_pn(3), -1, seq_s(3, 40))],
+    ids=["g2", "h343", "p3 anti"],
+)
+def test_markov_counts_by_squaring_match_a_resumed_sequence_and_the_spec(make, sign, want):
+    # count_sequence resumes A^(k-1) with one product per k; a fresh map
+    # reaches A^k by squaring; both equal the spec's terms
+    seq = make().count_sequence(40, sign=sign, method="markov")
+    assert seq == want
+    for k in range(1, 41):
+        assert make().count_solutions(k, sign=sign, method="markov") == want[k - 1], k
+
+
+def test_matrix_powers_square(monkeypatch):
+    products = []
+    mat_mul = exactnum._mat_mul
+    monkeypatch.setattr(exactnum, "_mat_mul", lambda a, b: products.append(1) or mat_mul(a, b))
+    m = make_hjmn(3, 4, 3)
+    md = m._markov_data()
+    A8 = m._matrix_power(md, 8)
+    assert len(products) == 3  # A^2, A^4, A^8
+    A = md.A
+    want = A
+    for _ in range(7):
+        want = mat_mul(want, A)
+    assert A8 == want
+    # resumed from the memo: A^13 = A^8 * A * A^4, two squarings and two products
+    products.clear()
+    m._matrix_power(md, 13)
+    assert len(products) == 4
+    # and a sequence pays one product per k past the first
+    products.clear()
+    make_hjmn(3, 4, 3).count_sequence(20, method="markov")
+    assert len(products) == 19
+
+
 def _outcome(solve, k, sign, method):
     try:
         return solve(k, sign=sign, method=method)
@@ -590,6 +657,53 @@ def test_auto_builds_no_matrix_past_the_piece_budget(monkeypatch):
         tent.count_solutions(29, max_pieces=10_000)
 
 
+def _brute_force_auto(m, k, max_pieces):
+    """auto's size rule taken literally: markov when the laps have int fields
+    and nonzero slopes, n^2 <= max_pieces and laps^k > n^3."""
+    laps = m._lap_tuple()
+    usable = all(lap.slope and all(type(v) is int for v in lap) for lap in laps)
+    n = laps[-1].hi - laps[0].lo
+    return "markov" if usable and n * n <= max_pieces and len(laps) ** k > n**3 else "pieces"
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        make_base_map(),
+        make_gn(2),
+        make_fmn(2, 5),
+        make_hjmn(3, 4, 3),
+        make_pn(3),
+        PLMap([(0, 0), (200, 400), (400, 0)]),
+        PLMap([(0, 0), (100000, 100000)]),
+        PLMap([(0, 0), (F(1, 2), 1), (1, 0)]),
+    ],
+    ids=["base2", "g2", "f25", "h343", "p3", "tent400", "one-lap", "bent"],
+)
+def test_auto_flip_point_matches_the_brute_force_rule(m):
+    # the flip point, read once per map, decides as laps^k > n^3 would
+    for max_pieces in (DEFAULT_MAX_PIECES, 30, 1):
+        for k in range(1, 65):
+            assert m._resolve_method(k, "auto", max_pieces) == _brute_force_auto(m, k, max_pieces), (k, max_pieces)
+    # and at a k where laps^k has millions of digits, without building it
+    assert m._resolve_method(4 * 10**6, "auto", DEFAULT_MAX_PIECES) == _brute_force_auto(m, 64, DEFAULT_MAX_PIECES)
+
+
+def test_auto_flip_point_values():
+    g1 = make_gn(1)
+    g1._lap_tuple()
+    assert g1._rule == (True, 4)  # 2^4 > 2^3
+    tent = PLMap([(0, 0), (200, 400), (400, 0)])
+    tent._lap_tuple()
+    assert tent._rule == (True, 26)  # 2^26 > 400^3 >= 2^25
+    one_lap = PLMap([(0, 0), (100000, 100000)])
+    one_lap._lap_tuple()
+    assert one_lap._rule == (True, None)
+    flat = PLMap([(0, 0), (1, 2), (2, 2)])
+    flat._lap_tuple()
+    assert flat._rule == (False, None)
+
+
 def test_markov_engine_asymmetric_domain_sign_minus():
     # 0 inside an asymmetric integer domain: the mirrored unit interval is
     # not simply index-reversed and may fall outside the partition
@@ -607,6 +721,26 @@ def test_transition_matrix_examples():
     # a single lap covering the whole domain gives an all-ones row
     tent = PLMap([(0, 0), (1, 2), (2, 0)])
     assert tent.transition_matrix() == [[1, 1], [1, 1]]
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_transition_matrix_matches_the_min_max_definition(data):
+    # integer maps, flat laps included, some anchors dropped where collinear
+    lo = data.draw(st.integers(-4, 2))
+    n = data.draw(st.integers(1, 6))
+    vals = data.draw(st.lists(st.integers(lo, lo + n), min_size=n + 1, max_size=n + 1))
+    drop = data.draw(st.lists(st.booleans(), min_size=n + 1, max_size=n + 1))
+    keep = [
+        i for i in range(n + 1)
+        if not (0 < i < n and drop[i] and vals[i] - vals[i - 1] == vals[i + 1] - vals[i])
+    ]
+    m = PLMap([(lo + i, vals[i]) for i in keep])
+    want = [
+        [1 if min(m(p), m(p + 1)) <= q < max(m(p), m(p + 1)) else 0 for q in range(lo, lo + n)]
+        for p in range(lo, lo + n)
+    ]
+    assert m.transition_matrix() == want, m
 
 
 def test_transition_matrix_not_markov():
