@@ -165,11 +165,13 @@ class CensusCount(NamedTuple):
 def _least_period_count(pl_map: PLMap, m: int, sign: int, primes: Iterable[int], lower: set) -> int:
     """|S_m| less |lower ∪ S_(m/p) for p in primes|, where S_k is the exact
     solution set of f^k(x) = sign*x and ``lower`` (updated in place) and each
-    S_(m/p) lie in S_m."""
+    S_(m/p) lie in S_m.  The union is keyed by the points' (numerator,
+    denominator) pairs, which name a rational uniquely in lowest terms and
+    hash as two ints, where a Fraction's hash takes a modular inverse."""
     # count first, so that a degenerate f^m raises InfiniteSolutions at k = m
     total = pl_map.count_solutions(m, sign=sign)
     for p in primes:
-        lower.update(pl_map.solution_set(m // p, sign=sign))
+        lower.update((q.numerator, q.denominator) for q in pl_map.solution_set(m // p, sign=sign))
     return total - len(lower)
 
 
@@ -187,12 +189,13 @@ def periodic_census(pl_map: PLMap, m: int) -> CensusCount:
 
 
 def _is_odd_map(pl_map: PLMap) -> bool:
-    lo, hi = pl_map.domain
-    if lo != -hi:
+    xs, ys = pl_map._xs, pl_map._ys
+    if xs[0] != -xs[-1]:
         return False
     # two piecewise-linear maps agree iff they agree on the union of their
-    # breakpoints; x -> -f(-x) has breakpoints at the negated anchors
-    return all(pl_map(-x) == -y for x, y in pl_map.anchors)
+    # breakpoints; x -> -f(-x) has breakpoints at the negated anchors, read
+    # narrowed, so an integer map evaluates them in int
+    return all(pl_map(-x) == -y for x, y in zip(xs, ys))
 
 
 def symmetric_census(pl_map: PLMap, m: int) -> CensusCount:
@@ -204,12 +207,10 @@ def symmetric_census(pl_map: PLMap, m: int) -> CensusCount:
     m/m' odd and > 1, and x solves f^(m/p)(x) = -x for each odd p | m/m'.
     Returns (count, count // (2m)); raises CensusInvariantError if 2m does
     not divide the count."""
-    from fractions import Fraction
-
     if not _is_odd_map(pl_map):
         raise ValueError("symmetric census needs an odd map on a symmetric domain")
     odd = [p for p, _ in factorize(m) if p != 2]
-    count = _least_period_count(pl_map, m, -1, odd, {Fraction(0)})
+    count = _least_period_count(pl_map, m, -1, odd, {(0, 1)})
     if count % (2 * m):
         raise CensusInvariantError(f"{count} symmetric points, not divisible by {2 * m}")
     return CensusCount(count, count // (2 * m))

@@ -301,6 +301,26 @@ def _add_seq_param_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--j", type=int, default=None)
 
 
+# options whose value may start with '-': an anchor list such as
+# '-1:1,0:0,1:-1' (every odd map's first anchor is negative) and a range
+# such as '-3..3'
+_SIGNED_VALUE_OPTIONS = frozenset({"--anchors", "--q", "--r", "--s"})
+
+
+def _attach_signed_values(argv: list[str]) -> list[str]:
+    """argv with '--anchors -1:1,...' written '--anchors=-1:1,...', and the
+    same for the other options above.  argparse reads a value that starts
+    with '-' as an option, unless it is a plain number; a following '--...'
+    stays an option, so a missing value is still reported as missing."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _SIGNED_VALUE_OPTIONS and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="plcensus", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -351,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
     # numbers are printed in full, past the default 4300-digit limit on
     # int-to-str conversion; the caller's limit is back on return
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()

@@ -36,6 +36,8 @@ int where it is integral and as a Fraction otherwise, so an integer map finds
 its laps and composes its pieces in int and only the cuts between integers
 are Fractions.  Solution points, ``InfiniteSolutions`` witnesses,
 ``domain``, ``anchors`` and values of the map are always Fractions.
+``anchors``, and ``domain`` from it, are built on first read, so setting up
+an integer map builds no Fraction.
 
 Both engines decide, count and order the solutions in integer arithmetic and
 build a Fraction only for a point they return.  A piece of f^k owns the
@@ -58,6 +60,12 @@ def _narrow(v):
     """v as an int when it is integral; int and Fraction alike carry
     ``numerator`` and ``denominator``."""
     return v.numerator if v.denominator == 1 else v
+
+
+def _exact(v) -> int | Fraction:
+    """v as an exact rational, narrowed: an int stays an int, and anything
+    else ``Fraction`` accepts goes through it."""
+    return v if type(v) is int else _narrow(Fraction(v))
 
 
 class DomainError(ValueError):
@@ -182,29 +190,30 @@ class PLMap:
     Anchors may be ints, Fractions, or anything ``Fraction`` accepts.
     Instances are immutable; all operations are pure and safe to share
     across threads.  The anchors' x's and y's are kept narrowed, ints where
-    integral, from construction on.  Every internal memo is an immutable
-    value that one assignment replaces whole: the laps, and with them
-    ``auto``'s rule as ``(usable, flip point)``; the Markov data; the last
-    iterate f^j built as ``(j, pieces, values at the piece ends)``; and the
-    last matrix power as ``(j, A^j)``, which a later A^k resumes by squaring.
+    integral, from construction on; equality, hashing and evaluation read
+    them there.  Every memo is an immutable value, built on first read, that
+    one assignment replaces whole: the public ``anchors`` as Fractions; the
+    laps, and with them ``auto``'s rule as ``(usable, flip point)``; the
+    Markov data; the last iterate f^j built as ``(j, pieces, values at the
+    piece ends)``; and the last matrix power as ``(j, A^j)``, which a later
+    A^k resumes by squaring.
     """
 
-    __slots__ = ("anchors", "_xs", "_ys", "_rule", "_laps", "_markov", "_iterate", "_power")
+    __slots__ = ("_xs", "_ys", "_anchors", "_rule", "_laps", "_markov", "_iterate", "_power")
 
     def __init__(self, anchors):
-        pts = [(Fraction(x), Fraction(y)) for x, y in anchors]
+        pts = [(_exact(x), _exact(y)) for x, y in anchors]
         if len(pts) < 2:
             raise ValueError("a map needs at least 2 anchors")
-        xs = tuple(_narrow(x) for x, _ in pts)
-        ys = tuple(_narrow(y) for _, y in pts)
+        xs, ys = zip(*pts)
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise ValueError("anchor x-coordinates must be strictly increasing")
         lo, hi = xs[0], xs[-1]
         if any(not (lo <= y <= hi) for y in ys):
             raise ValueError(f"anchor values leave [{lo}, {hi}]; not a self-map")
-        object.__setattr__(self, "anchors", tuple(pts))
         object.__setattr__(self, "_xs", xs)
         object.__setattr__(self, "_ys", ys)
+        object.__setattr__(self, "_anchors", None)
         object.__setattr__(self, "_rule", None)
         object.__setattr__(self, "_laps", None)
         object.__setattr__(self, "_markov", None)
@@ -215,14 +224,23 @@ class PLMap:
         raise AttributeError("PLMap is immutable")
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, PLMap) and self.anchors == other.anchors
+        return isinstance(other, PLMap) and self._xs == other._xs and self._ys == other._ys
 
     def __hash__(self):
-        return hash(self.anchors)
+        # an int hashes as the equal Fraction, so this is hash(self.anchors)
+        return hash(tuple(zip(self._xs, self._ys)))
 
     def __repr__(self) -> str:
-        pts = ", ".join(f"({x}, {y})" for x, y in self.anchors)
+        pts = ", ".join(f"({x}, {y})" for x, y in zip(self._xs, self._ys))
         return f"PLMap([{pts}])"
+
+    @property
+    def anchors(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """The anchors as (x, y) pairs of Fractions, built on first read."""
+        if self._anchors is None:
+            pts = tuple((Fraction(x), Fraction(y)) for x, y in zip(self._xs, self._ys))
+            object.__setattr__(self, "_anchors", pts)
+        return self._anchors
 
     @property
     def domain(self) -> tuple[Fraction, Fraction]:
@@ -232,11 +250,11 @@ class PLMap:
 
     def __call__(self, x) -> Fraction:
         """Exact value at x; raises DomainError outside the interval."""
-        x = Fraction(x)
-        lo, hi = self.domain
+        x, lo, hi = _exact(x), self._xs[0], self._xs[-1]
         if not (lo <= x <= hi):
             raise DomainError(f"{x} outside the domain [{lo}, {hi}]")
-        return self._lap_at(x)(x)
+        y = self._lap_at(x)(x)
+        return Fraction(y) if type(y) is int else y
 
     def iterate(self, x, k: int) -> Fraction:
         """f^k(x) by k-fold evaluation: the slow reference the census tests compare against."""
@@ -560,8 +578,7 @@ class PLMap:
             raise ValueError("sign must be +1 or -1")
         if max_pieces < 1:
             raise ValueError("max_pieces must be >= 1")
-        lo, hi = self.domain
-        if sign == -1 and not (lo <= 0 <= hi):
+        if sign == -1 and not (self._xs[0] <= 0 <= self._xs[-1]):
             raise DomainError("f^k(x) = -x needs 0 inside the domain")
         if self._resolve_method(k, method, max_pieces) == "markov":
             md = self._markov_data()

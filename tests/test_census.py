@@ -475,6 +475,53 @@ def test_symmetric_census_matches_phi2_on_odd_maps(values):
         assert symmetric_census(mp, m).count == phi2(m, lambda k: counts[k - 1])
 
 
+def _lower_union(mp, m, sign, primes, seed=()):
+    """The union of the exact solution sets S_(m/p), p in primes, and the
+    seed, as a set of Fractions, and whether two of the sets overlap."""
+    sets = [set(seed), *(set(mp.solution_set(m // p, sign=sign)) for p in primes)]
+    overlap = any(a & b for i, a in enumerate(sets) for b in sets[i + 1 :])
+    return set().union(*sets), overlap
+
+
+@given(st.one_of(
+    st.tuples(st.integers(-3, 1), st.integers(2, 4)).flatmap(
+        lambda lo_n: st.lists(st.integers(0, lo_n[1]), min_size=lo_n[1] + 1, max_size=lo_n[1] + 1)
+        .filter(_nonflat)
+        .map(lambda vs: PLMap([(lo_n[0] + i, lo_n[0] + v) for i, v in enumerate(vs)]))
+    ),
+    st.lists(st.integers(1, 5), unique=True, max_size=3).map(lambda xs: [0, *sorted(xs), 6]).flatmap(
+        lambda xs: st.lists(st.integers(0, 4), min_size=len(xs), max_size=len(xs)).map(
+            lambda ys: PLMap([(F(x, 6), F(y, 4)) for x, y in zip(xs, ys)])
+        )
+    ),
+))
+@example(make_gn(1))
+@example(PLMap([(0, F(1, 4)), (F(1, 2), 1), (F(2, 3), 0), (1, F(1, 2))]))
+@settings(max_examples=30, deadline=None)
+def test_periodic_census_unions_overlapping_solution_sets(mp):
+    # at m = 6 the union S_3 ∪ S_2 meets in S_1, which holds a fixed point
+    # of every self-map: the census counts each shared point once
+    try:
+        lower, overlap = _lower_union(mp, 6, 1, (2, 3))
+        want = mp.count_solutions(6) - len(lower)
+    except InfiniteSolutions:
+        with pytest.raises(InfiniteSolutions):
+            periodic_census(mp, 6)
+        return
+    assert overlap
+    assert periodic_census(mp, 6).count == want, mp
+
+
+@pytest.mark.parametrize("m, primes", [(3, (3,)), (15, (3, 5))])
+def test_symmetric_census_unions_the_origin_with_overlapping_solution_sets(m, primes):
+    # the union holds the origin, which S_1 holds too, and at m = 15 the sets
+    # S_5 and S_3 meet in S_1
+    mp = make_pn(2)
+    lower, overlap = _lower_union(mp, m, -1, primes, seed=[F(0)])
+    assert overlap and F(0) in mp.solution_set(1, sign=-1)
+    assert symmetric_census(mp, m).count == mp.count_solutions(m, sign=-1) - len(lower)
+
+
 def test_census_infinite_propagates():
     # raised by f^m itself, not by the solution set of a proper divisor
     for m in (2, 4):

@@ -83,6 +83,35 @@ def test_count_examples(capsys):
     assert run(capsys, "count", "--map", "base2", "--k", "2")[1].strip() == "7"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--anchors", "-1:1,0:0,1:-1"],
+        ["--anchors=-1:1,0:0,1:-1"],
+        ["--anchors", "-1/1:1,0:0,1:-1"],
+    ],
+    ids=["space", "equals", "fraction"],
+)
+def test_count_takes_a_negative_first_anchor_either_way(capsys, argv):
+    # an odd map's first anchor is negative; argparse alone reads a value
+    # that starts with '-' as an option
+    assert run(capsys, "count", "--map", "custom", *argv, "--k", "2", "--sign", "-1") == (0, "1\n", "")
+
+
+def test_verify_takes_a_negative_range_after_a_space(capsys):
+    code, out, _ = run(capsys, "verify", "--conjecture", "qrs", "--n", "2", "--q", "7", "--r", "16", "--s", "-3..-2", "--K", "40")
+    assert code == 0
+    assert [row["s"] for row in json.loads(out)["rows"]] == [-3, -2]
+
+
+def test_an_option_after_anchors_is_still_an_option(capsys):
+    # '--anchors --k 2' lacks its value; it is not read as anchors '--k'
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--map", "custom", "--anchors", "--k", "2"])
+    assert exc.value.code == 2
+    assert "--anchors: expected one argument" in capsys.readouterr().err
+
+
 def test_count_infinite_diagnostic(capsys):
     code, out, _ = run(capsys, "count", "--map", "custom", "--anchors", "0:0,1:1", "--k", "1")
     assert code == 0

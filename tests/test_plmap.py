@@ -23,6 +23,19 @@ from plcensus.sequences import seq_b, seq_c, seq_s
 
 F = Fraction
 
+# integer maps as the integer census tests draw them, and rational maps on
+# the anchor grid of the rational census tests: x in sixths, y in quarters
+INTEGER_MAPS = st.tuples(st.integers(-3, 1), st.integers(2, 5)).flatmap(
+    lambda lo_n: st.lists(st.integers(0, lo_n[1]), min_size=lo_n[1] + 1, max_size=lo_n[1] + 1)
+    .filter(lambda vs: all(a != b for a, b in zip(vs, vs[1:])))
+    .map(lambda vs: PLMap([(lo_n[0] + i, lo_n[0] + v) for i, v in enumerate(vs)]))
+)
+RATIONAL_MAPS = st.lists(st.integers(1, 5), unique=True, max_size=4).map(lambda xs: [0, *sorted(xs), 6]).flatmap(
+    lambda xs: st.lists(st.integers(0, 4), min_size=len(xs), max_size=len(xs)).map(
+        lambda ys: PLMap([(F(x, 6), F(y, 4)) for x, y in zip(xs, ys)])
+    )
+)
+
 
 # -- construction and evaluation ---------------------------------------------
 
@@ -57,8 +70,8 @@ def test_eval_accepts_strings_and_ints():
 
 
 def test_integer_map_setup_builds_only_the_anchor_fractions(monkeypatch):
-    # an integer map validates its anchors and finds its laps in int: the
-    # only Fractions built, anywhere, are the public anchors
+    # an integer map validates its anchors and finds its laps in int, and
+    # builds no Fraction until its public anchors are read: those, once
     built = []
     new = F.__new__
     monkeypatch.setattr(F, "__new__", lambda cls, *args, **kw: built.append(args) or new(cls, *args, **kw))
@@ -66,9 +79,77 @@ def test_integer_map_setup_builds_only_the_anchor_fractions(monkeypatch):
         built.clear()
         m = make()
         laps = m._lap_tuple()
-        assert len(built) == 2 * len(m.anchors), m
+        assert built == [], built
         assert all(type(v) is int for lap in laps for v in lap), laps
-        assert all(type(v) is F for pt in m.anchors for v in pt), m.anchors
+        anchors = m.anchors
+        assert len(built) == 2 * len(anchors), m
+        assert all(type(v) is F for pt in anchors for v in pt), anchors
+        built.clear()
+        assert m.anchors is anchors and m.domain == (anchors[0][0], anchors[-1][0])
+        assert built == [], built
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [(1, 4), (2, 1), (3, 4), (4, 2)],
+        [(-1, 1), (0, 0), (1, -1)],
+        [(0, F(1, 4)), (F(1, 2), 1), (F(2, 3), 0), (1, F(1, 2))],
+        [(F(-3, 2), F(3, 2)), (0, 0), (F(3, 2), F(-3, 2))],
+    ],
+    ids=["base", "odd", "rational", "rational-odd"],
+)
+def test_a_map_from_int_fraction_or_string_anchors_is_one_map(points):
+    # ints where integral, Fractions, and strings of the same points build
+    # one map: equal, with one hash (that of its anchors) and one repr, and
+    # Fraction anchors and domain
+    forms = [
+        PLMap([(plmap._narrow(F(x)), plmap._narrow(F(y))) for x, y in points]),
+        PLMap([(F(x), F(y)) for x, y in points]),
+        PLMap([(str(x), str(y)) for x, y in points]),
+    ]
+    want = tuple((F(x), F(y)) for x, y in points)
+    for m in forms:
+        assert m == forms[0] and hash(m) == hash(forms[0]) == hash(want)
+        assert repr(m) == repr(forms[0]) == "PLMap([%s])" % ", ".join(f"({F(x)}, {F(y)})" for x, y in points)
+        assert type(m.anchors) is tuple and m.anchors == want
+        assert all(type(pt) is tuple and len(pt) == 2 and all(type(v) is F for v in pt) for pt in m.anchors)
+        assert type(m.domain) is tuple and m.domain == (want[0][0], want[-1][0])
+        assert all(type(v) is F for v in m.domain)
+    lo, hi = forms[0].domain
+    other = PLMap([*want[:-1], (hi, lo if want[-1][1] != lo else hi)])
+    assert other != forms[0] and forms[0] != want
+
+
+@given(m=st.one_of(INTEGER_MAPS, RATIONAL_MAPS), i=st.integers(0, 24))
+@example(m=PLMap([(0, 0), (F(1, 3), 1), (1, F(1, 2))]), i=8)
+@settings(max_examples=80, deadline=None)
+def test_eval_returns_the_fraction_lap_formula(m, i):
+    # x an int, a Fraction or a string: the value is a Fraction, the lap
+    # through the anchors around x evaluated in Fractions
+    lo, hi = m.domain
+    x = lo + (hi - lo) * F(i, 24)
+    (x0, y0), (x1, y1) = next((a, b) for a, b in zip(m.anchors, m.anchors[1:]) if a[0] <= x <= b[0])
+    want = y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+    for arg in (x, str(x), plmap._narrow(x)):
+        got = m(arg)
+        assert type(got) is F and got == want, (arg, got, want)
+
+
+@pytest.mark.parametrize(
+    "m, x, message",
+    [
+        (PLMap([(0, 0), (1, 1)]), 2, "2 outside the domain [0, 1]"),
+        (PLMap([(0, 0), (1, 1)]), F(3, 2), "3/2 outside the domain [0, 1]"),
+        (PLMap([(0, 0), (1, 1)]), "-1/2", "-1/2 outside the domain [0, 1]"),
+        (PLMap([(F(1, 3), F(1, 3)), (F(2, 3), F(1, 2))]), 1, "1 outside the domain [1/3, 2/3]"),
+        (PLMap([("1/3", "1/3"), ("2/3", "1/2")]), F(1, 4), "1/4 outside the domain [1/3, 2/3]"),
+    ],
+)
+def test_eval_outside_the_domain_names_the_point_and_the_domain(m, x, message):
+    with pytest.raises(DomainError) as exc:
+        m(x)
+    assert str(exc.value) == message
 
 
 # -- iterate_pieces -----------------------------------------------------------
@@ -137,20 +218,6 @@ def test_composition_soundness_random_points(ix, k, which):
     pieces = m.iterate_pieces(k)
     piece = next(p for p in pieces if p.lo <= x <= p.hi)
     assert piece(x) == m.iterate(x, k)
-
-
-# integer maps as the integer census tests draw them, and rational maps on
-# the anchor grid of the rational census tests: x in sixths, y in quarters
-INTEGER_MAPS = st.tuples(st.integers(-3, 1), st.integers(2, 5)).flatmap(
-    lambda lo_n: st.lists(st.integers(0, lo_n[1]), min_size=lo_n[1] + 1, max_size=lo_n[1] + 1)
-    .filter(lambda vs: all(a != b for a, b in zip(vs, vs[1:])))
-    .map(lambda vs: PLMap([(lo_n[0] + i, lo_n[0] + v) for i, v in enumerate(vs)]))
-)
-RATIONAL_MAPS = st.lists(st.integers(1, 5), unique=True, max_size=4).map(lambda xs: [0, *sorted(xs), 6]).flatmap(
-    lambda xs: st.lists(st.integers(0, 4), min_size=len(xs), max_size=len(xs)).map(
-        lambda ys: PLMap([(F(x, 6), F(y, 4)) for x, y in zip(xs, ys)])
-    )
-)
 
 
 @given(m=st.one_of(INTEGER_MAPS, RATIONAL_MAPS), k=st.integers(1, 6), sign=st.sampled_from([1, -1]))
