@@ -23,13 +23,17 @@ Counting runs on one of two interchangeable engines:
 Both engines are exact and agree wherever both apply (the test suite checks
 them against each other).  ``method="auto"`` picks by size.  A composition
 step splits a piece into at most one piece per lap, so f^k has at most
-laps^k pieces, while one product of the n x n unit-partition matrices costs
-n^3 multiply-adds.  So ``auto`` runs ``markov`` when the map is eligible (int
-fields and a nonzero slope on every lap, read off the laps, so no matrix is
-built to decide), when its matrix fits the piece budget (n^2 <=
-``max_pieces``) and when laps^k > n^3; otherwise it runs ``pieces``.  The
-eligibility and the flip point, the least k with laps^k > n^3, are read once
-per map, with the laps.
+laps^k pieces, against the n^2 cells of the n x n unit-partition matrix A.
+Measured, a piece costs more than a cell of a product, so ``auto`` runs
+``markov`` when the map is eligible (int fields and a nonzero slope on every
+lap, read off the laps, so no matrix is built to decide), when its matrix
+fits the piece budget (n^2 <= ``max_pieces``) and from a flip point on;
+otherwise it runs ``pieces``.  There are two flip points.  A count flips at
+the least k with laps^k > n^2.  An enumeration walks one word per
+unit-interval cylinder, up to n/laps of them per piece of f^k, so it flips
+there too only when each lap is one unit interval (laps = n), and otherwise
+at the least k with laps^k > n^3.  The eligibility and both flip points are
+read once per map, with the laps.
 
 No float enters.  The anchors and the pieces hold every exact number as an
 int where it is integral and as a Fraction otherwise, so an integer map finds
@@ -121,20 +125,30 @@ def _quotient(a, b):
     return Fraction(a, b) if r else q
 
 
-def _engine_rule(laps) -> tuple[bool, int | None]:
+def _engine_rule(laps) -> tuple[bool, int | None, int | None]:
     """What ``auto`` needs of a map, read off its laps once: whether the
     ``markov`` engine can count it (int fields and a nonzero slope on every
-    lap), and the flip point, the least k with laps^k > n^3 over the n unit
-    intervals of the domain, or None where no k flips (one lap, or not
-    usable)."""
+    lap), and the two flip points over the n unit intervals of the domain,
+    or None where no k flips (one lap, or not usable).
+
+    The count flips at the least k with laps^k > n^2, once f^k can have more
+    pieces than A has cells.  Enumeration flips there too when laps == n,
+    where the markov words are exactly the pieces of f^k.  With fewer laps a
+    piece spans up to n/laps unit-interval cylinders, one word each, so
+    enumeration flips at the least k with laps^k > n^3."""
     usable = all(lap.slope and all(type(v) is int for v in lap) for lap in laps)
     if not usable or len(laps) == 1:
-        return usable, None
-    n_cubed = (laps[-1].hi - laps[0].lo) ** 3
-    flip, power = 1, len(laps)
-    while power <= n_cubed:
-        flip, power = flip + 1, power * len(laps)
-    return usable, flip
+        return usable, None, None
+
+    def least_k_above(bound):
+        k, power = 1, len(laps)
+        while power <= bound:
+            k, power = k + 1, power * len(laps)
+        return k
+
+    n = laps[-1].hi - laps[0].lo
+    count_flip = least_k_above(n * n)
+    return usable, count_flip, count_flip if len(laps) == n else least_k_above(n**3)
 
 
 def _narrowed_piece(lo, hi, slope, intercept) -> AffinePiece:
@@ -193,10 +207,11 @@ class PLMap:
     integral, from construction on; equality, hashing and evaluation read
     them there.  Every memo is an immutable value, built on first read, that
     one assignment replaces whole: the public ``anchors`` as Fractions; the
-    laps, and with them ``auto``'s rule as ``(usable, flip point)``; the
-    Markov data; the last iterate f^j built as ``(j, pieces, values at the
-    piece ends)``; and the last matrix power as ``(j, A^j)``, which a later
-    A^k resumes by squaring.
+    laps, and with them ``auto``'s rule as ``(usable, count flip point,
+    enumerate flip point)``; the Markov data; the last iterate f^j built as
+    ``(j, pieces, values at the piece ends)``; and the last matrix power as
+    ``(j, A^j)``, which a later A^k resumes by squaring.  A copy or a pickle
+    is rebuilt from the anchors, with no memo.
     """
 
     __slots__ = ("_xs", "_ys", "_anchors", "_rule", "_laps", "_markov", "_iterate", "_power")
@@ -222,6 +237,10 @@ class PLMap:
 
     def __setattr__(self, name, value):
         raise AttributeError("PLMap is immutable")
+
+    def __reduce__(self):
+        # rebuilt from its anchors, so pickle and copy need no __setattr__
+        return (PLMap, (tuple(zip(self._xs, self._ys)),))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PLMap) and self._xs == other._xs and self._ys == other._ys
@@ -410,13 +429,13 @@ class PLMap:
 
     # -- solution counting --------------------------------------------------
 
-    def _resolve_method(self, k: int, method: str, max_pieces: int) -> str:
+    def _resolve_method(self, k: int, method: str, max_pieces: int, count: bool) -> str:
         if method not in ("auto", "pieces", "markov"):
             raise ValueError("method must be 'auto', 'pieces', or 'markov'")
         if method == "pieces":
             return "pieces"
         self._lap_tuple()
-        usable, flip = self._rule
+        usable, count_flip, enumerate_flip = self._rule
         if method == "markov":
             if not usable:
                 raise NotMarkovError(
@@ -424,9 +443,11 @@ class PLMap:
                     "with nonzero slope on every unit interval"
                 )
             return "markov"
-        # f^k has at most laps^k pieces, which exceeds the n^3 multiply-adds
-        # of one product of the n x n matrices from k = flip on; A holds n^2
-        # entries
+        # from count_flip on f^k can have more pieces than A has cells, and
+        # the matrix count beats the pieces build; enumeration walks one word
+        # per unit-interval cylinder, so it waits for enumerate_flip, later
+        # than count_flip unless each lap is one unit interval
+        flip = count_flip if count else enumerate_flip
         n = self._xs[-1] - self._xs[0]
         if flip is not None and k >= flip and n * n <= max_pieces:
             return "markov"
@@ -580,7 +601,7 @@ class PLMap:
             raise ValueError("max_pieces must be >= 1")
         if sign == -1 and not (self._xs[0] <= 0 <= self._xs[-1]):
             raise DomainError("f^k(x) = -x needs 0 inside the domain")
-        if self._resolve_method(k, method, max_pieces) == "markov":
+        if self._resolve_method(k, method, max_pieces, count) == "markov":
             md = self._markov_data()
             if count:
                 return self._markov_count(md, k, sign)

@@ -353,11 +353,30 @@ def test_symmetric_census_rejects_non_odd():
         symmetric_census(PLMap([(-1, 1), (0, 0), (2, -1)]), 1)
 
 
+def _orbit_walk_count(mp, points, period):
+    """The points whose orbit under one-step evaluation first returns at
+    step ``period``.  Each orbit is walked once and all its points marked;
+    every point it passes must be one of ``points``."""
+    solutions, seen, count = set(points), set(), 0
+    for x in points:
+        if x in seen:
+            continue
+        orbit, v = [], x
+        for _ in range(period):
+            assert v in solutions, (mp, x, v)
+            orbit.append(v)
+            v = mp(v)
+            if v == x:
+                break
+        assert v == x, (mp, x)
+        seen.update(orbit)
+        count += len(orbit) if len(orbit) == period else 0
+    return count
+
+
 def _least_period_count(mp, m):
-    """Slow reference: the solutions of f^m(x) = x whose orbit under k-fold
-    evaluation first returns at step m."""
-    proper = [d for d in range(1, m) if m % d == 0]
-    return sum(all(mp.iterate(x, d) != x for d in proper) for x in mp.solution_set(m).points)
+    """Slow reference: the solutions of f^m(x) = x of least period m."""
+    return _orbit_walk_count(mp, mp.solution_set(m).points, m)
 
 
 def test_periodic_census_matches_orbit_walk():
@@ -369,10 +388,9 @@ def test_periodic_census_matches_orbit_walk():
 
 
 def _symmetric_period_count(mp, m):
-    """Slow reference: the solutions of f^m(x) = -x whose orbit under k-fold
-    evaluation first returns at step 2m."""
-    proper = [d for d in range(1, 2 * m) if 2 * m % d == 0]
-    return sum(all(mp.iterate(x, d) != x for d in proper) for x in mp.solution_set(m, sign=-1).points)
+    """Slow reference: the solutions of f^m(x) = -x of least period 2m; an
+    odd map keeps their orbits among them."""
+    return _orbit_walk_count(mp, mp.solution_set(m, sign=-1).points, 2 * m)
 
 
 def _odd_map(anchors):

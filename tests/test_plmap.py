@@ -1,3 +1,5 @@
+import copy
+import pickle
 import sys
 import threading
 import tracemalloc
@@ -87,6 +89,19 @@ def test_integer_map_setup_builds_only_the_anchor_fractions(monkeypatch):
         built.clear()
         assert m.anchors is anchors and m.domain == (anchors[0][0], anchors[-1][0])
         assert built == [], built
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: make_gn(1), lambda: PLMap([(0, F(1, 4)), (F(1, 2), 1), (F(2, 3), 0), (1, F(1, 2))])],
+    ids=["integer", "rational"],
+)
+def test_pickle_and_copy_rebuild_the_map(make):
+    m = make()
+    want = m.count_sequence(6)
+    for twin in (pickle.loads(pickle.dumps(m)), copy.copy(m), copy.deepcopy(m)):
+        assert type(twin) is PLMap and twin == m and hash(twin) == hash(m)
+        assert twin.count_sequence(6) == want
 
 
 @pytest.mark.parametrize(
@@ -530,7 +545,7 @@ def test_markov_engine_rejects_non_markov():
         bent.count_solutions(1, method="markov")
     # auto still works through the pieces engine
     assert bent.count_solutions(1) == 2
-    # so on an integer map with a flat lap, at a k where 2^k > n^3 = 8
+    # so on an integer map with a flat lap, at a k where 2^k > n^3 = 8 > n^2
     flat = PLMap([(0, 0), (1, 2), (2, 2)])
     with pytest.raises(NotMarkovError):
         flat.count_solutions(4, method="markov")
@@ -680,7 +695,8 @@ def _outcome(solve, k, sign, method):
 @settings(max_examples=40, deadline=None)
 def test_auto_equals_both_engines_across_its_switch(m, sign):
     # on a map anchored at every integer, laps = n and auto moves from
-    # pieces to markov at k = 4, where laps^k first exceeds n^3
+    # pieces to markov at k = 3, where laps^k first exceeds n^2, for both
+    # counting and enumeration
     sign = sign if m.domain[0] <= 0 <= m.domain[1] else 1
     for k in range(1, 7):
         for solve in ("count_solutions", "solution_set"):
@@ -691,18 +707,39 @@ def test_auto_equals_both_engines_across_its_switch(m, sign):
             assert got["auto"] == got["pieces"] == got["markov"], (m, k, sign, solve)
 
 
-def test_auto_counts_on_markov_once_laps_to_the_k_exceed_n_cubed():
-    # gn(1): two laps over n = 2 unit intervals, so 2^k > 2^3 from k = 4
+def test_auto_counts_on_markov_once_laps_to_the_k_exceed_n_squared():
+    # gn(1): two laps over n = 2 unit intervals, so 2^k > 2^2 from k = 3
+    m = make_gn(1)
+    assert m.count_solutions(2) == 3
+    assert m._iterate[0] == 2 and m._markov is None and m._power is None
     m = make_gn(1)
     assert m.count_solutions(3) == 4
-    assert m._iterate[0] == 3 and m._markov is None and m._power is None
-    m = make_gn(1)
-    assert m.count_solutions(4) == 7
-    assert m._iterate is None and m._power[0] == 4
-    # the tent over [0, 400]: 2^13 pieces against 400^3, so no matrix
+    assert m._iterate is None and m._power[0] == 3
+    # the tent over [0, 400]: 2^13 pieces against 400^2 cells, so no matrix
     tent = PLMap([(0, 0), (200, 400), (400, 0)])
     assert tent.count_solutions(13) == 2**13
     assert tent._markov is None and tent._power is None
+
+
+def test_auto_counts_past_the_piece_budget_on_markov():
+    # 2^11 pieces exceed the budget of 2000, but 2^11 > 40^2 puts the count
+    # on markov, whose 40 x 40 matrix fits it
+    m = PLMap([(0, 0), (20, 40), (40, 0)])
+    assert m.count_solutions(11, max_pieces=2000) == 2048
+    # each lap spans 20 unit intervals, so enumeration flips only where
+    # 2^k > 40^3: at k = 11 the pieces engine runs out of budget, at k = 10 not
+    with pytest.raises(PieceLimitError):
+        PLMap([(0, 0), (20, 40), (40, 0)]).solution_set(11, max_pieces=2000)
+    assert len(PLMap([(0, 0), (20, 40), (40, 0)]).solution_set(10, max_pieces=2000)) == 1024
+
+
+def test_auto_enumerates_a_wide_tent_on_pieces():
+    # markov would walk one word per unit-interval cylinder, 200 per piece
+    # of f^12, and exhaust the budget that the 4,096 pieces stay far within
+    tent = PLMap([(0, 0), (200, 400), (400, 0)])
+    assert len(tent.solution_set(12)) == 2**12
+    with pytest.raises(PieceLimitError):
+        PLMap([(0, 0), (200, 400), (400, 0)]).solution_set(12, method="markov")
 
 
 def test_auto_builds_no_matrix_past_the_piece_budget(monkeypatch):
@@ -724,13 +761,15 @@ def test_auto_builds_no_matrix_past_the_piece_budget(monkeypatch):
         tent.count_solutions(29, max_pieces=10_000)
 
 
-def _brute_force_auto(m, k, max_pieces):
+def _brute_force_auto(m, k, max_pieces, count):
     """auto's size rule taken literally: markov when the laps have int fields
-    and nonzero slopes, n^2 <= max_pieces and laps^k > n^3."""
+    and nonzero slopes, n^2 <= max_pieces and laps^k exceeds n^2 for a count,
+    and for an enumeration n^2 where laps = n and n^3 otherwise."""
     laps = m._lap_tuple()
     usable = all(lap.slope and all(type(v) is int for v in lap) for lap in laps)
     n = laps[-1].hi - laps[0].lo
-    return "markov" if usable and n * n <= max_pieces and len(laps) ** k > n**3 else "pieces"
+    bound = n**2 if count or len(laps) == n else n**3
+    return "markov" if usable and n * n <= max_pieces and len(laps) ** k > bound else "pieces"
 
 
 @pytest.mark.parametrize(
@@ -748,27 +787,31 @@ def _brute_force_auto(m, k, max_pieces):
     ids=["base2", "g2", "f25", "h343", "p3", "tent400", "one-lap", "bent"],
 )
 def test_auto_flip_point_matches_the_brute_force_rule(m):
-    # the flip point, read once per map, decides as laps^k > n^3 would
-    for max_pieces in (DEFAULT_MAX_PIECES, 30, 1):
-        for k in range(1, 65):
-            assert m._resolve_method(k, "auto", max_pieces) == _brute_force_auto(m, k, max_pieces), (k, max_pieces)
-    # and at a k where laps^k has millions of digits, without building it
-    assert m._resolve_method(4 * 10**6, "auto", DEFAULT_MAX_PIECES) == _brute_force_auto(m, 64, DEFAULT_MAX_PIECES)
+    # the flip points, read once per map, decide as the bounds on laps^k
+    # would, for count_solutions and for solution_set
+    for count in (True, False):
+        for max_pieces in (DEFAULT_MAX_PIECES, 30, 1):
+            for k in range(1, 65):
+                want = _brute_force_auto(m, k, max_pieces, count)
+                assert m._resolve_method(k, "auto", max_pieces, count) == want, (k, max_pieces, count)
+        # and at a k where laps^k has millions of digits, without building it
+        want = _brute_force_auto(m, 64, DEFAULT_MAX_PIECES, count)
+        assert m._resolve_method(4 * 10**6, "auto", DEFAULT_MAX_PIECES, count) == want
 
 
 def test_auto_flip_point_values():
     g1 = make_gn(1)
     g1._lap_tuple()
-    assert g1._rule == (True, 4)  # 2^4 > 2^3
+    assert g1._rule == (True, 3, 3)  # 2^3 > 2^2, and laps = n
     tent = PLMap([(0, 0), (200, 400), (400, 0)])
     tent._lap_tuple()
-    assert tent._rule == (True, 26)  # 2^26 > 400^3 >= 2^25
+    assert tent._rule == (True, 18, 26)  # 2^18 > 400^2 >= 2^17, 2^26 > 400^3 >= 2^25
     one_lap = PLMap([(0, 0), (100000, 100000)])
     one_lap._lap_tuple()
-    assert one_lap._rule == (True, None)
+    assert one_lap._rule == (True, None, None)
     flat = PLMap([(0, 0), (1, 2), (2, 2)])
     flat._lap_tuple()
-    assert flat._rule == (False, None)
+    assert flat._rule == (False, None, None)
 
 
 def test_markov_engine_asymmetric_domain_sign_minus():

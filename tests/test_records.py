@@ -162,14 +162,14 @@ def test_importing_the_package_or_the_cli_loads_no_library_module():
 
 
 # command -> the plcensus submodules, fractions and json that running it loads;
-# gn(1) counts on pieces at k = 3 and on markov, which multiplies matrices
-# with exactnum._mat_mul, from k = 4
+# gn(1) counts on pieces at k = 2 and on markov, which multiplies matrices
+# with exactnum._mat_mul, from k = 3
 COMMAND_MODULES = {
     "seq --family b --n 1 --k 5 --format bfile": {"sequences", "exactnum"},
     "seq --family a --n 3 --k 2": {"sequences", "exactnum", "json"},
     "gfcheck --family d --m 1 --n 2 --K 20": {"sequences", "exactnum", "json"},
     "verify --conjecture phi1-on-s --n 2 --K 20": {"sequences", "exactnum", "census", "json"},
-    "count --map gn --n 1 --k 3": {"families", "plmap", "fractions"},
+    "count --map gn --n 1 --k 2": {"families", "plmap", "fractions"},
     "count --map gn --n 1 --k 6": {"families", "plmap", "fractions", "exactnum"},
     "verify --family a --n 4 --K 20": {"sequences", "exactnum", "census", "families", "plmap", "fractions", "json"},
 }
