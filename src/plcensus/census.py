@@ -286,19 +286,17 @@ def explore_qrs(
 
 
 def check_phi1_on_s(n: int, K: int) -> list[CensusReport]:
-    """phi1 congruence sweep over the s-family (conjecture status: the
-    operator matching these counts is phi2; phi1 passing as well is only
-    numerically suggested)."""
+    """phi1 congruence sweep over the s-family, whose map counts match phi2.
+
+    phi1 holds too, for every k: the terms are a difference of traces.  With
+    M = 1 - 2z - z^n = det(I - z C_M) and L = 1 - z - ... - z^(n-1) =
+    det(I - z C_L), C_M and C_L their integer companion matrices,
+
+        -z M'/M = sum_k tr(C_M^k) z^k,   -z L'/L = sum_k tr(C_L^k) z^k,
+        S(z) = (-z M' L + z L' M) / (M L) = -z M'/M - (-z L'/L),
+
+    so s_k = tr(C_M^k) - tr(C_L^k).  phi1(k, .) is the Moebius sum
+    sum over d | k of mu(k/d) f(d), which is 0 mod k for f(d) = tr(C^d) of
+    any integer matrix C (the Gauss congruence), and it is linear in f."""
     return verify_congruence(spec_s(n), "phi1", K)
 
-
-def oracle_congruence(pl_map: PLMap, operator: str, K: int) -> list[CensusReport]:
-    """Congruence sweep with the accessor taken from the map itself:
-    phi(k) = count of f^k(x) = x (phi1) or f^k(x) = -x (phi2)."""
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    if operator not in OPERATORS:
-        raise ValueError("operator must be 'phi1' or 'phi2'")
-    sign = 1 if operator == "phi1" else -1
-    counts = pl_map.count_sequence(K, sign=sign)
-    return _congruence_reports(counts, operator, K)

@@ -39,17 +39,13 @@ def _parse_range(text: str) -> list[int]:
     return [int(text)]
 
 
-def format_bfile(term_list: list[int]) -> str:
-    return "\n".join(f"{k} {v}" for k, v in enumerate(term_list, 1))
-
-
 def cmd_seq(args) -> int:
     from . import sequences
 
     spec = sequences.build_spec(args.family, j=args.j, m=args.m, n=args.n)
     term_list = sequences.terms(spec, args.k)
     if args.format == "bfile":
-        print(format_bfile(term_list))
+        print("\n".join(f"{k} {v}" for k, v in enumerate(term_list, 1)))
     elif args.format == "csv":
         print("k,value")
         for k, v in enumerate(term_list, 1):

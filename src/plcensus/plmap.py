@@ -28,12 +28,11 @@ Measured, a piece costs more than a cell of a product, so ``auto`` runs
 ``markov`` when the map is eligible (int fields and a nonzero slope on every
 lap, read off the laps, so no matrix is built to decide), when its matrix
 fits the piece budget (n^2 <= ``max_pieces``) and from a flip point on;
-otherwise it runs ``pieces``.  There are two flip points.  A count flips at
-the least k with laps^k > n^2.  An enumeration walks one word per
-unit-interval cylinder, up to n/laps of them per piece of f^k, so it flips
-there too only when each lap is one unit interval (laps = n), and otherwise
-at the least k with laps^k > n^3.  The eligibility and both flip points are
-read once per map, with the laps.
+otherwise it runs ``pieces``.  A count flips at the least k with
+laps^k > n^2.  An enumeration walks one word per unit-interval cylinder, up
+to n/laps of them per piece of f^k, so it flips there too when each lap is
+one unit interval (laps = n), and otherwise stays on ``pieces``.  The
+eligibility and the flip points are read once per map, with the laps.
 
 No float enters.  The anchors and the pieces hold every exact number as an
 int where it is integral and as a Fraction otherwise, so an integer map finds
@@ -134,21 +133,16 @@ def _engine_rule(laps) -> tuple[bool, int | None, int | None]:
     The count flips at the least k with laps^k > n^2, once f^k can have more
     pieces than A has cells.  Enumeration flips there too when laps == n,
     where the markov words are exactly the pieces of f^k.  With fewer laps a
-    piece spans up to n/laps unit-interval cylinders, one word each, so
-    enumeration flips at the least k with laps^k > n^3."""
+    piece spans up to n/laps unit-interval cylinders, one word each, so the
+    walk outgrows the budget before the pieces do: enumeration never flips."""
     usable = all(lap.slope and all(type(v) is int for v in lap) for lap in laps)
     if not usable or len(laps) == 1:
         return usable, None, None
-
-    def least_k_above(bound):
-        k, power = 1, len(laps)
-        while power <= bound:
-            k, power = k + 1, power * len(laps)
-        return k
-
     n = laps[-1].hi - laps[0].lo
-    count_flip = least_k_above(n * n)
-    return usable, count_flip, count_flip if len(laps) == n else least_k_above(n**3)
+    k, power = 1, len(laps)
+    while power <= n * n:
+        k, power = k + 1, power * len(laps)
+    return usable, k, k if len(laps) == n else None
 
 
 def _narrowed_piece(lo, hi, slope, intercept) -> AffinePiece:
@@ -275,13 +269,6 @@ class PLMap:
         y = self._lap_at(x)(x)
         return Fraction(y) if type(y) is int else y
 
-    def iterate(self, x, k: int) -> Fraction:
-        """f^k(x) by k-fold evaluation: the slow reference the census tests compare against."""
-        v = Fraction(x)
-        for _ in range(k):
-            v = self(v)
-        return v
-
     # -- symbolic pieces ----------------------------------------------------
 
     def _lap_tuple(self) -> tuple[AffinePiece, ...]:
@@ -315,12 +302,6 @@ class PLMap:
         y_i and an end of g to f of g's value there, so no end is evaluated.
         On an integer map all but the cuts between integers stay ints."""
         laps, xs, ys = self._lap_tuple(), self._xs, self._ys
-        # int slopes and intercepts compose to ints; a Fraction operand gives
-        # a Fraction, narrowed where it is integral.  Narrowing on integer
-        # maps too made the census workload 8% slower; a cut is narrowed by
-        # _quotient, which builds no Fraction where it is integral
-        integral = all(type(lap.slope) is type(lap.intercept) is int for lap in laps)
-        piece = AffinePiece if integral else _narrowed_piece
         out: list[AffinePiece] = []
         v = ends[0]
         out_ends = [self._lap_at(v)(v)]
@@ -328,7 +309,7 @@ class PLMap:
             s, t = p.slope, p.intercept
             if s == 0:
                 y = self._lap_at(t)(t)
-                out.append(piece(p.lo, p.hi, 0, y))
+                out.append(_narrowed_piece(p.lo, p.hi, 0, y))
                 out_ends.append(y)
             else:
                 a, b = (va, vb) if va <= vb else (vb, va)
@@ -342,7 +323,7 @@ class PLMap:
                     hit, cut_ends = hit[::-1], cut_ends[::-1]
                 bounds = [p.lo, *cuts, p.hi]
                 for u, w, lap in zip(bounds, bounds[1:], hit):
-                    out.append(piece(u, w, lap.slope * s, lap.slope * t + lap.intercept))
+                    out.append(_narrowed_piece(u, w, lap.slope * s, lap.slope * t + lap.intercept))
                 out_ends += cut_ends
                 out_ends.append(hit[-1](vb))
             if len(out) > max_pieces:
@@ -445,8 +426,8 @@ class PLMap:
             return "markov"
         # from count_flip on f^k can have more pieces than A has cells, and
         # the matrix count beats the pieces build; enumeration walks one word
-        # per unit-interval cylinder, so it waits for enumerate_flip, later
-        # than count_flip unless each lap is one unit interval
+        # per unit-interval cylinder, so it flips only where each lap is one
+        # unit interval
         flip = count_flip if count else enumerate_flip
         n = self._xs[-1] - self._xs[0]
         if flip is not None and k >= flip and n * n <= max_pieces:

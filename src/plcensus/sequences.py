@@ -13,6 +13,13 @@ Correspondence with the map families (fixed-point counts of iterates):
 * ``s(n)``  <- pn maps, solutions of f^k(x) = -x
 * ``d(m,n)`` has no map oracle here; it is checked through its recurrence,
   generating function, and congruence sweeps only.
+
+Every generating function is a sum of traces.  With D(z) = det(I - zC),
+-z D'(z) / D(z) = sum_k tr(C^k) z^k, so ``a`` ... ``d`` take the numerator
+-z D' of their denominator D, and ``s``, with terms tr(C_M^k) - tr(C_L^k),
+takes -z M' L + z L' M over D = M L, with M = 1 - 2z - z^n and
+L = 1 - z - ... - z^(n-1).  Trace sequences satisfy the Gauss congruence
+sum over d | k of mu(k/d) tr(C^d) = 0 mod k, which is ``phi1``.
 """
 
 from __future__ import annotations
@@ -23,13 +30,13 @@ from . import _build
 from .exactnum import Poly, RecurrenceSpec, recurrence_eval
 
 S2_NOTE = (
-    "numerator for n=2 recovered from the terms as trunc(S(z)*D(z)) = "
-    "z + 2z^2 - z^3; the drop-the-2z^2-term shortcut would leave z + 2z^2 - 2z^3, "
+    "numerator for n=2 is -z(M'L - L'M) = z + 2z^2 - z^3, with M = 1 - 2z - z^2 "
+    "and L = 1 - z; the drop-the-2z^2-term shortcut would leave z + 2z^2 - 2z^3, "
     "which does not reproduce the terms, and was not used"
 )
 S3_NOTE = (
-    "numerator for n=3 recovered from the terms as trunc(S(z)*D(z)); it matches "
-    "the drop-the-z^3-term shortcut exactly"
+    "numerator for n=3 is -z(M'L - L'M), with M = 1 - 2z - z^3 and "
+    "L = 1 - z - z^2; it matches the drop-the-z^3-term shortcut exactly"
 )
 
 
@@ -51,15 +58,19 @@ class SequenceSpec(NamedTuple):
         return f"{self.family}({inner})"
 
 
+def _trace_numerator(den: Poly) -> Poly:
+    """-z D', whose series over D = det(I - zC) is sum_k tr(C^k) z^k."""
+    return Poly(-k * c for k, c in enumerate(den.coeffs))
+
+
 def spec_a(n: int) -> SequenceSpec:
     """2^{k+1} - 1 through k = n-1, then t_k = 3t_{k-1} - sum(t_{k-2}..t_{k-n+1})."""
     if n < 3:
         raise ValueError("n must be >= 3")
     prefix = [2 ** (k + 1) - 1 for k in range(1, n)]
     rec = RecurrenceSpec((3,) + (-1,) * (n - 2), prefix)
-    num = Poly([0, 3] + [-k for k in range(2, n)])
     den = Poly([1, -3] + [1] * (n - 2))
-    return SequenceSpec("a", (("n", n),), rec, num, den)
+    return SequenceSpec("a", (("n", n),), rec, _trace_numerator(den), den)
 
 
 def spec_b(n: int) -> SequenceSpec:
@@ -79,9 +90,8 @@ def spec_b(n: int) -> SequenceSpec:
     for lag in range(4, 4 * n + 1, 2):
         coeffs[lag - 1] = -1
     rec = RecurrenceSpec(coeffs, prefix)
-    num = Poly([0, 1] + [(-1) ** k * k for k in range(2, 2 * n + 1)])
     den = Poly([1, -1] + [-((-1) ** k) for k in range(2, 2 * n + 1)])
-    return SequenceSpec("b", (("n", n),), rec, num, den)
+    return SequenceSpec("b", (("n", n),), rec, _trace_numerator(den), den)
 
 
 def spec_c(j: int, m: int, n: int) -> SequenceSpec:
@@ -101,9 +111,8 @@ def spec_c(j: int, m: int, n: int) -> SequenceSpec:
         top**3 - 6 * n * (top - w),
     )
     rec = RecurrenceSpec((top, -(2 * n - w), -w), prefix)
-    num = Poly([0, top, -2 * (2 * n - w), -3 * w])
     den = Poly([1, -top, 2 * n - w, w])
-    return SequenceSpec("c", (("j", j), ("m", m), ("n", n)), rec, num, den)
+    return SequenceSpec("c", (("j", j), ("m", m), ("n", n)), rec, _trace_numerator(den), den)
 
 
 def spec_d(m: int, n: int) -> SequenceSpec:
@@ -114,55 +123,27 @@ def spec_d(m: int, n: int) -> SequenceSpec:
         raise ValueError("m must satisfy 1-n <= m <= n")
     prefix = (n, n * n + 2 * m)
     rec = RecurrenceSpec((n, m), prefix)
-    num = Poly([0, n, 2 * m])
     den = Poly([1, -n, -m])
-    return SequenceSpec("d", (("m", m), ("n", n)), rec, num, den)
+    return SequenceSpec("d", (("m", m), ("n", n)), rec, _trace_numerator(den), den)
 
 
 def _s_prefix(n: int) -> list[int]:
     return [1] * (n - 1) + [2 ** (k - n) * 2 * k + 1 for k in range(n, 2 * n)]
 
 
-def _s_numerator_formula(n: int) -> Poly:
-    """The closed-form numerator of the s-family generating function."""
-    arr = [0] * (2 * n)
-    arr[1] += 1
-    arr[2] -= 2
-    arr[3] -= 1
-    for k in range(5, n):
-        arr[k] += k - 4
-    arr[n] += 3 * n - 4
-    for k in range(n + 1, 2 * n):
-        arr[k] -= 2 * n - k
-    return Poly(arr)
-
-
-def _numerator_from_terms(terms: list[int], den: Poly, degree: int) -> Poly:
-    """trunc(S(z) * D(z)) through the given degree, where S has the supplied
-    coefficients on z^1.. and zero constant term."""
-    return Poly((Poly([0, *terms]) * den).coeffs[: degree + 1])
-
-
 def spec_s(n: int) -> SequenceSpec:
     """1 through k = n-1, 2^{k-n}(2k) + 1 through k = 2n-1, then
-    t_k = 3t_{k-1} - sum(t_{k-2}..t_{k-2n+1}).
-
-    For n in {2, 3} the generating-function numerator is computed from the
-    terms (the advertised shortcut is checked against it: exact for n = 3,
-    off by one z^3 term for n = 2; see the spec note on the instance).
-    """
+    t_k = 3t_{k-1} - sum(t_{k-2}..t_{k-2n+1}); the generating function is
+    -zM'/M + zL'/L over D = M L.  For n in {2, 3} the note compares its
+    numerator with the advertised shortcut: exact for n = 3, not for n = 2."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    prefix = _s_prefix(n)
-    rec = RecurrenceSpec((3,) + (-1,) * (2 * n - 2), prefix)
-    den = Poly([1, -3] + [1] * (2 * n - 2))
-    note = None
-    if n in (2, 3):
-        num = _numerator_from_terms(prefix, den, 2 * n - 1)
-        note = S2_NOTE if n == 2 else S3_NOTE
-    else:
-        num = _s_numerator_formula(n)
-    return SequenceSpec("s", (("n", n),), rec, num, den, note)
+    rec = RecurrenceSpec((3,) + (-1,) * (2 * n - 2), _s_prefix(n))
+    M = Poly([1, -2] + [0] * (n - 2) + [-1])
+    L = Poly([1] + [-1] * (n - 1))
+    num = _trace_numerator(M) * L - _trace_numerator(L) * M
+    note = {2: S2_NOTE, 3: S3_NOTE}.get(n)
+    return SequenceSpec("s", (("n", n),), rec, num, M * L, note)
 
 
 def terms(spec: SequenceSpec, K: int) -> list[int]:

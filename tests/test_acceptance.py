@@ -200,7 +200,7 @@ def criterion7_specs():
 
 
 def test_criterion_7_gf_expansion_equality():
-    from plcensus.sequences import _s_numerator_formula
+    from references import s_numerator_formula as _s_numerator_formula
 
     for sp in criterion7_specs():
         assert series_expand(sp.gf_num, sp.gf_den, 50) == terms(sp, 50), sp.label

@@ -39,6 +39,14 @@ RATIONAL_MAPS = st.lists(st.integers(1, 5), unique=True, max_size=4).map(lambda 
 )
 
 
+def iterate(m, x, k):
+    """f^k(x) by k-fold evaluation: the slow reference for the pieces."""
+    v = F(x)
+    for _ in range(k):
+        v = m(v)
+    return v
+
+
 # -- construction and evaluation ---------------------------------------------
 
 def test_constructor_validation():
@@ -212,7 +220,7 @@ def test_tiling_and_composition_soundness():
             # evaluating the piece containing x equals k-fold eval
             for p in pieces:
                 for x in (p.lo, F(p.lo + p.hi, 2), p.hi):
-                    assert p(x) == m.iterate(x, k)
+                    assert p(x) == iterate(m, x, k)
 
 
 @given(
@@ -232,7 +240,7 @@ def test_composition_soundness_random_points(ix, k, which):
     x = lo + (hi - lo) * F(ix, 60)
     pieces = m.iterate_pieces(k)
     piece = next(p for p in pieces if p.lo <= x <= p.hi)
-    assert piece(x) == m.iterate(x, k)
+    assert piece(x) == iterate(m, x, k)
 
 
 @given(m=st.one_of(INTEGER_MAPS, RATIONAL_MAPS), k=st.integers(1, 6), sign=st.sampled_from([1, -1]))
@@ -249,7 +257,7 @@ def test_pieces_and_solutions_stay_exact(m, k, sign):
         assert all(type(v) in (int, F) for v in p), p
         assert all(type(v) is int or v.denominator > 1 for v in p), p
         for x in (p.lo, F(p.lo + p.hi, 2), p.hi):
-            assert p(x) == m.iterate(x, k)
+            assert p(x) == iterate(m, x, k)
     lo, hi = m.domain
     sign = sign if lo <= 0 <= hi else 1
     for method in ("pieces", "markov"):
@@ -428,10 +436,10 @@ def test_solutions_really_solve():
     for m in (make_base_map(), make_gn(2), make_pn(3)):
         for k in (1, 2, 3):
             for x in m.solution_set(k).points:
-                assert m.iterate(x, k) == x
+                assert iterate(m, x, k) == x
     p3 = make_pn(3)
     for x in p3.solution_set(2, sign=-1).points:
-        assert p3.iterate(x, 2) == -x
+        assert iterate(p3, x, 2) == -x
 
 
 def _closed_interval_solutions(m, k, sign):
@@ -545,7 +553,7 @@ def test_markov_engine_rejects_non_markov():
         bent.count_solutions(1, method="markov")
     # auto still works through the pieces engine
     assert bent.count_solutions(1) == 2
-    # so on an integer map with a flat lap, at a k where 2^k > n^3 = 8 > n^2
+    # so on an integer map with a flat lap, at a k where 2^k > n^2
     flat = PLMap([(0, 0), (1, 2), (2, 2)])
     with pytest.raises(NotMarkovError):
         flat.count_solutions(4, method="markov")
@@ -574,7 +582,7 @@ def test_markov_engine_equals_pieces_engine_random_maps(data):
     k = data.draw(st.integers(1, 5))
     sign = data.draw(st.sampled_from([1, -1])) if lo <= 0 <= hi else 1
     for x in assert_engines_agree(m, k, sign):
-        assert m.iterate(x, k) == sign * x
+        assert iterate(m, x, k) == sign * x
 
 
 def test_markov_witness_spans_the_pieces_engine_piece():
@@ -726,8 +734,8 @@ def test_auto_counts_past_the_piece_budget_on_markov():
     # on markov, whose 40 x 40 matrix fits it
     m = PLMap([(0, 0), (20, 40), (40, 0)])
     assert m.count_solutions(11, max_pieces=2000) == 2048
-    # each lap spans 20 unit intervals, so enumeration flips only where
-    # 2^k > 40^3: at k = 11 the pieces engine runs out of budget, at k = 10 not
+    # each lap spans 20 unit intervals, so enumeration stays on pieces: at
+    # k = 11 the pieces engine runs out of budget, at k = 10 not
     with pytest.raises(PieceLimitError):
         PLMap([(0, 0), (20, 40), (40, 0)]).solution_set(11, max_pieces=2000)
     assert len(PLMap([(0, 0), (20, 40), (40, 0)]).solution_set(10, max_pieces=2000)) == 1024
@@ -742,15 +750,26 @@ def test_auto_enumerates_a_wide_tent_on_pieces():
         PLMap([(0, 0), (200, 400), (400, 0)]).solution_set(12, method="markov")
 
 
+def test_auto_enumerates_on_pieces_where_markov_walks_more_words():
+    # each lap spans 20 unit intervals: markov would walk 20 * 2^16 words,
+    # past the budget, where the 2^16 pieces of f^16 fit within it
+    points = PLMap([(0, 0), (20, 40), (40, 0)]).solution_set(16)
+    assert len(points) == 2**16
+    assert points[0] == 0 and points[-1] == F(2621440, 65537)
+    assert all(a < b for a, b in zip(points, points[1:]))
+    with pytest.raises(PieceLimitError):
+        PLMap([(0, 0), (20, 40), (40, 0)]).solution_set(16, method="markov")
+
+
 def test_auto_builds_no_matrix_past_the_piece_budget(monkeypatch):
     def no_matrix(self):
         raise AssertionError("auto built the transition matrix")
 
     monkeypatch.setattr(PLMap, "_markov_data", no_matrix)
-    # two laps of f(x) = 800 - x: 2^29 > 800^3, but A would hold 800^2 >
+    # two laps of f(x) = 800 - x: 2^29 > 800^2, but A would hold 800^2 >
     # DEFAULT_MAX_PIECES entries, so auto stays on pieces
     m = PLMap([(0, 800), (1, 799), (800, 0)])
-    assert 800**2 > DEFAULT_MAX_PIECES and 2**29 > 800**3
+    assert 800**2 > DEFAULT_MAX_PIECES and 2**29 > 800**2
     assert m.count_solutions(29) == 1
     with pytest.raises(InfiniteSolutions) as info:
         m.count_solutions(30)
@@ -763,13 +782,13 @@ def test_auto_builds_no_matrix_past_the_piece_budget(monkeypatch):
 
 def _brute_force_auto(m, k, max_pieces, count):
     """auto's size rule taken literally: markov when the laps have int fields
-    and nonzero slopes, n^2 <= max_pieces and laps^k exceeds n^2 for a count,
-    and for an enumeration n^2 where laps = n and n^3 otherwise."""
+    and nonzero slopes, n^2 <= max_pieces and laps^k exceeds n^2, for an
+    enumeration only where laps = n."""
     laps = m._lap_tuple()
     usable = all(lap.slope and all(type(v) is int for v in lap) for lap in laps)
     n = laps[-1].hi - laps[0].lo
-    bound = n**2 if count or len(laps) == n else n**3
-    return "markov" if usable and n * n <= max_pieces and len(laps) ** k > bound else "pieces"
+    flips = count or len(laps) == n
+    return "markov" if usable and flips and n * n <= max_pieces and len(laps) ** k > n**2 else "pieces"
 
 
 @pytest.mark.parametrize(
@@ -805,7 +824,7 @@ def test_auto_flip_point_values():
     assert g1._rule == (True, 3, 3)  # 2^3 > 2^2, and laps = n
     tent = PLMap([(0, 0), (200, 400), (400, 0)])
     tent._lap_tuple()
-    assert tent._rule == (True, 18, 26)  # 2^18 > 400^2 >= 2^17, 2^26 > 400^3 >= 2^25
+    assert tent._rule == (True, 18, None)  # 2^18 > 400^2 >= 2^17, and laps < n
     one_lap = PLMap([(0, 0), (100000, 100000)])
     one_lap._lap_tuple()
     assert one_lap._rule == (True, None, None)

@@ -3,8 +3,6 @@ import pytest
 from plcensus.exactnum import Poly, series_expand
 from plcensus.families import make_gn, make_hjmn, make_pn
 from plcensus.sequences import (
-    _numerator_from_terms,
-    _s_numerator_formula,
     build_spec,
     seq_a,
     seq_b,
@@ -17,6 +15,11 @@ from plcensus.sequences import (
     spec_d,
     spec_s,
     terms,
+)
+from references import (
+    literal_gf,
+    numerator_from_terms as _numerator_from_terms,
+    s_numerator_formula as _s_numerator_formula,
 )
 
 
@@ -81,7 +84,7 @@ def test_gf_examples():
     assert (sp.gf_num, sp.gf_den) == (Poly([0, 2, 2]), Poly([1, -2, -1]))
     sp = spec_s(2)
     assert sp.gf_den == Poly([1, -3, 1, 1])
-    assert sp.gf_num == Poly([0, 1, 2, -1])  # z + 2z^2 - z^3, computed from the terms
+    assert sp.gf_num == Poly([0, 1, 2, -1])  # z + 2z^2 - z^3, -z(M'L - L'M)
 
 
 def test_s2_shortcut_disagrees_and_is_documented():
@@ -111,6 +114,38 @@ def test_s_general_formula_used_for_n_ge_4():
         assert sp.note is None
         # and it is the numerator the terms force
         assert _numerator_from_terms(sp.recurrence.initial_terms, sp.gf_den, 2 * n - 1) == sp.gf_num
+
+
+def _spec_grid():
+    """771 specs: a(3..29), b(1..19), every c with n <= 7, every d with
+    n <= 11, s(2..40)."""
+    grid = [("a", {"n": n}) for n in range(3, 30)] + [("b", {"n": n}) for n in range(1, 20)]
+    grid += [
+        ("c", {"j": j, "m": m, "n": n}) for n in range(2, 8) for j in range(2, 2 * n + 2) for m in range(2, 2 * n + 2)
+    ]
+    grid += [("d", {"m": m, "n": n}) for n in range(2, 12) for m in range(1 - n, n + 1)]
+    grid += [("s", {"n": n}) for n in range(2, 41)]
+    return grid
+
+
+def test_gf_derived_from_the_denominator_equals_the_written_formulas():
+    grid = _spec_grid()
+    assert len(grid) == 771
+    for family, params in grid:
+        sp = build_spec(family, **params)
+        assert (sp.gf_num, sp.gf_den) == literal_gf(family, **params), sp.label
+
+
+def test_s_terms_are_a_difference_of_traces():
+    # S = -zM'/M - (-zL'/L) with M = 1 - 2z - z^n and L = 1 - z - ... - z^(n-1):
+    # s_k = tr(C_M^k) - tr(C_L^k), C_M and C_L the companion matrices
+    for n in range(2, 41):
+        M = Poly([1, -2] + [0] * (n - 2) + [-1])
+        L = Poly([1] + [-1] * (n - 1))
+        zdM = Poly([0, 2] + [0] * (n - 2) + [n])  # -z M'
+        zdL = Poly(range(n))  # -z L' = z + 2z^2 + ... + (n-1)z^(n-1)
+        traces_M, traces_L = series_expand(zdM, M, 200), series_expand(zdL, L, 200)
+        assert terms(spec_s(n), 200) == [a - b for a, b in zip(traces_M, traces_L)], n
 
 
 def all_test_specs():
