@@ -13,12 +13,18 @@ point of S_m whose least period falls short of the one counted (m for sign
 +1, 2m for sign -1).  The periodic census takes the union of the S_(m/p)
 over the primes p | m; the symmetric census takes it over the odd primes
 p | m and adds the origin, which every odd map fixes.
+
+A phi1 congruence sweep sieves instead of calling phi1 per k: for each prime
+p <= K, every k divisible by p subtracts the value k/p held before p.  That
+is the Dirichlet factor (1 - p^-s), so entry k ends as the Moebius sum over
+d | k of mu(k/d) t_d, exactly phi1(k, t): the same int terms, another order.
 """
 
 from __future__ import annotations
 
 import functools
-import operator
+from itertools import compress
+from operator import index, sub
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from .exactnum import RecurrenceSpec, _recurrence_stream, recurrence_eval
@@ -40,7 +46,7 @@ def factorize(m: int) -> tuple[tuple[int, int], ...]:
     >>> factorize(12)
     ((2, 2), (3, 1))
     """
-    m = operator.index(m)
+    m = index(m)
     if m < 1:
         raise ValueError("m must be >= 1")
     return _factorize(m)
@@ -137,10 +143,18 @@ class CensusReport(NamedTuple):
 
 def _congruence_reports(term_list: list[int], operator: str, K: int) -> list[CensusReport]:
     op, mod_factor = OPERATORS[operator]
-    acc = [None, *term_list].__getitem__
+    values = [0, *term_list]
+    if op is phi1:  # the Moebius sieve of the module docstring
+        is_prime = bytearray(2) + bytearray(b"\1") * (K - 1)
+        for p in compress(range(K + 1), is_prime):  # is_prime[p] is final by then
+            is_prime[p * p :: p] = bytes(len(range(p * p, K + 1, p)))
+            values[p::p] = map(sub, values[p::p], values[1 : K // p + 1])
+    else:
+        acc = values.__getitem__
+        values = [0] + [op(k, acc) for k in range(1, K + 1)]
     out = []
     for k in range(1, K + 1):
-        value = op(k, acc)
+        value = values[k]
         modulus = mod_factor * k
         quotient, rem = divmod(value, modulus)
         out.append(CensusReport(k, term_list[k - 1], operator, value, modulus, None if rem else quotient, not rem))
@@ -149,7 +163,10 @@ def _congruence_reports(term_list: list[int], operator: str, K: int) -> list[Cen
 
 def verify_congruence(spec: SequenceSpec, operator: str, K: int) -> list[CensusReport]:
     """One report per k <= K checking operator(k, sequence) == 0 mod k
-    (phi1) or mod 2k (phi2).  Failures are data, never swallowed."""
+    (phi1) or mod 2k (phi2).  Failures are data, never swallowed.  K must be
+    an int (TypeError otherwise) and >= 1.  phi1 values come from the
+    module docstring's Moebius sieve over the primes <= K, exact in int."""
+    K = index(K)
     if K < 1:
         raise ValueError("K must be >= 1")
     if operator not in OPERATORS:

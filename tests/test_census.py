@@ -102,8 +102,11 @@ def test_factorize_rejects_a_non_integral_key():
 
 
 def test_factorize_memo_is_thread_safe():
-    spec = build_spec("c", j=3, m=4, n=3)
-    serial = verify_congruence(spec, "phi1", 2000)
+    # explore_qrs calls phi1 per k, so it factorizes every k; a c-family
+    # triple holds through K, so each thread fills the memo up to K
+    q, r, s = qrs_triple_for_c(3, 4, 3)
+    serial = explore_qrs(3, [q], [r], [s], 2000)
+    assert serial == [QRSFinding(q, r, s, True, None)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -113,7 +116,7 @@ def test_factorize_memo_is_thread_safe():
 
         def work(i):
             barrier.wait()
-            got[i] = verify_congruence(spec, "phi1", 2000)
+            got[i] = explore_qrs(3, [q], [r], [s], 2000)
 
         threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
         for t in threads:
@@ -122,6 +125,9 @@ def test_factorize_memo_is_thread_safe():
             t.join(timeout=60)
         assert not any(t.is_alive() for t in threads)
         assert got == [serial] * 4
+        assert factorize.cache_info().misses >= 2000
+        sieve = _sieve_factorizations(2000)
+        assert all(factorize(m) == sieve[m] for m in range(1, 2001))
     finally:
         sys.setswitchinterval(interval)
 
@@ -143,11 +149,22 @@ def test_factorize_memo_is_compact():
 
 
 def test_a_repeated_sweep_factorizes_nothing():
-    spec = build_spec("c", j=3, m=4, n=3)
-    first = verify_congruence(spec, "phi1", 500)
+    q, r, s = qrs_triple_for_c(3, 4, 3)
+    census._factorize.cache_clear()
+    first = explore_qrs(3, [q], [r], [s], 500)
     misses = factorize.cache_info().misses
-    assert verify_congruence(spec, "phi1", 500) == first
+    assert misses > 0
+    assert explore_qrs(3, [q], [r], [s], 500) == first
     assert factorize.cache_info().misses == misses
+
+
+def test_a_phi1_sweep_calls_no_factorize():
+    # the sweep sieves over the primes <= K; it never factorizes a k
+    census._factorize.cache_clear()
+    verify_congruence(build_spec("c", j=3, m=4, n=3), "phi1", 500)
+    check_phi1_on_s(2, 500)
+    info = factorize.cache_info()
+    assert (info.hits, info.misses) == (0, 0)
 
 
 # -- phi1 / phi2 -------------------------------------------------------------------
@@ -267,11 +284,16 @@ def test_verify_d_powers_of_three():
     assert all(r.passed for r in reports)
 
 
-def test_verify_usage_errors():
+def test_verify_usage_errors(monkeypatch):
+    # each error comes before any work
+    monkeypatch.setattr(census, "terms", lambda *args: pytest.fail("terms was called"))
     with pytest.raises(ValueError):
         verify_congruence(spec_a(3), "phi1", 0)
     with pytest.raises(ValueError):
         verify_congruence(spec_a(3), "phi3", 5)
+    for K in (2.0, F(2), "2"):
+        with pytest.raises(TypeError):
+            verify_congruence(spec_a(3), "phi1", K)
 
 
 def test_report_serialization():
@@ -296,6 +318,33 @@ def _moebius_rows(term_list, operator, K):
         passed = value % modulus == 0
         rows.append((k, term_list[k - 1], value, modulus, value // modulus if passed else None, passed))
     return rows
+
+
+@given(st.lists(st.one_of(st.integers(-5, 5), st.integers(-2**200, 2**200)), min_size=1, max_size=400))
+@example([0] * 397)
+@example([-2**100, *range(1, 397)])  # K = 397, a prime: the last prime sieved is K itself
+@settings(max_examples=40, deadline=None)
+def test_phi1_sieve_equals_per_k_phi1_and_moebius_sums(term_list):
+    K = len(term_list)
+    acc = [None, *term_list].__getitem__
+    rows = [(r.k, r.phi_value, r.value, r.modulus, r.quotient, r.passed)
+            for r in census._congruence_reports(term_list, "phi1", K)]
+    per_k = []
+    for k in range(1, K + 1):
+        value = phi1(k, acc)
+        per_k.append((k, term_list[k - 1], value, k, value // k if value % k == 0 else None, value % k == 0))
+    assert rows == per_k
+    assert rows == _moebius_rows(term_list, "phi1", K)
+
+
+def test_a_k_5000_phi1_sweep_equals_per_k_phi1():
+    # every prime <= 5000 and every prime power <= 5000 meets the sieve
+    K = 5000
+    term_list = terms(spec_s(3), K)
+    acc = [None, *term_list].__getitem__
+    reports = check_phi1_on_s(3, K)
+    assert [r.value for r in reports] == [phi1(k, acc) for k in range(1, K + 1)]
+    assert all(r.passed for r in reports)
 
 
 @pytest.mark.parametrize("family, params, operator", [
