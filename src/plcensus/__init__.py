@@ -7,6 +7,7 @@ and returns whatever ``census.phi1`` is bound to at that moment.
 """
 
 from importlib import import_module
+from operator import index as _index
 
 __version__ = "0.1.0"
 
@@ -57,3 +58,13 @@ def _build(kind: str, table: dict, name: str, params: dict):
     if extra:
         raise ValueError(f"{kind} {name!r} does not take: {', '.join(extra)}")
     return fn(*(params[a] for a in names))
+
+
+def _at_least(name: str, value, least: int) -> int:
+    """``value`` as an int, checked before any work: every integer size the
+    library takes passes here.  ``operator.index`` raises TypeError for a float,
+    a Fraction or a str; below ``least``, ValueError("<name> must be >= <least>")."""
+    value = _index(value)
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+    return value

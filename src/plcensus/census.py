@@ -27,6 +27,7 @@ from itertools import compress
 from operator import index, sub
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
+from . import _at_least
 from .exactnum import RecurrenceSpec, _recurrence_stream, recurrence_eval
 from .sequences import SequenceSpec, spec_s, terms
 
@@ -46,8 +47,8 @@ def factorize(m: int) -> tuple[tuple[int, int], ...]:
     >>> factorize(12)
     ((2, 2), (3, 1))
     """
-    m = index(m)
-    if m < 1:
+    # _at_least's rule, inline: 35k calls per bench sweep pass, +1.2% wall_s through it
+    if (m := index(m)) < 1:
         raise ValueError("m must be >= 1")
     return _factorize(m)
 
@@ -166,9 +167,7 @@ def verify_congruence(spec: SequenceSpec, operator: str, K: int) -> list[CensusR
     (phi1) or mod 2k (phi2).  Failures are data, never swallowed.  K must be
     an int (TypeError otherwise) and >= 1.  phi1 values come from the
     module docstring's Moebius sieve over the primes <= K, exact in int."""
-    K = index(K)
-    if K < 1:
-        raise ValueError("K must be >= 1")
+    K = _at_least("K", K, 1)
     if operator not in OPERATORS:
         raise ValueError("operator must be 'phi1' or 'phi2'")
     return _congruence_reports(terms(spec, K), operator, K)
@@ -279,12 +278,10 @@ def explore_qrs(
     """Check phi1(k, t) == 0 mod k for k <= K over a (q, r, s) grid of
     generalized third-order sequences; failures are findings, not errors.
     Each triple's terms are drawn one k at a time, only up to its first
-    failure."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    qs, rs, ss = sorted(set(q_range)), sorted(set(r_range)), sorted(set(s_range))
+    failure.  n, K and every q, r and s must be ints."""
+    n, K = _at_least("n", n, 2), _at_least("K", K, 1)
+    qs, rs = sorted(set(map(index, q_range))), sorted(set(map(index, r_range)))
+    ss = sorted(set(map(index, s_range)))
     findings = []
     for q in qs:
         for r in rs:

@@ -228,11 +228,11 @@ def _verify_conjecture(name: str, params: dict, fmt: str, t0: float) -> int:
 
 
 def cmd_verify(args) -> int:
-    from . import census, sequences
+    from . import _at_least, census, sequences
 
     t0 = time.perf_counter()
-    if args.oracle_depth is not None and args.oracle_depth < 1:
-        raise ValueError("--oracle-depth must be >= 1")
+    if args.oracle_depth is not None:
+        _at_least("--oracle-depth", args.oracle_depth, 1)
     # every flag but the mode and the output format
     params = {a: v for a, v in vars(args).items() if a not in ("command", "func", "conjecture", "format")}
     if args.conjecture:

@@ -2,15 +2,20 @@
 
 Dense integer polynomials, linear recurrences with constant coefficients,
 power-series expansion of rational functions, and integer characteristic
-polynomials.  No floating point anywhere: rationals are stdlib
-``fractions.Fraction`` and integers are Python's arbitrary-precision ``int``.
+polynomials, all in ``int``.  No floating point anywhere, enforced where values
+enter: each coefficient, initial term, matrix entry and size passes
+``operator.index``, so a float or a Fraction raises TypeError.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from itertools import islice, repeat, zip_longest
+from operator import index
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
+
+from . import _at_least
+
 
 class ExactnessError(ArithmeticError):
     """A computation would have required leaving the integers."""
@@ -27,7 +32,7 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        cs = list(coeffs)
+        cs = list(map(index, coeffs))
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -98,10 +103,10 @@ class RecurrenceSpec(_RecurrenceFields):
     __slots__ = ()
 
     def __new__(cls, coefficients: Iterable[int], initial_terms: Iterable[int]):
-        coefficients = tuple(coefficients)
+        coefficients = tuple(map(index, coefficients))
         if not coefficients:
             raise ValueError("recurrence order must be >= 1")
-        return super().__new__(cls, coefficients, tuple(initial_terms))
+        return super().__new__(cls, coefficients, tuple(map(index, initial_terms)))
 
     @classmethod
     def _make(cls, iterable: Iterable) -> RecurrenceSpec:
@@ -152,8 +157,7 @@ def recurrence_eval(spec: RecurrenceSpec, K: int) -> list[int]:
     >>> recurrence_eval(RecurrenceSpec((3, -1), (3, 7)), 4)
     [3, 7, 18, 47]
     """
-    if K < 1:
-        raise ValueError("K must be >= 1")
+    K = _at_least("K", K, 1)
     return list(islice(_recurrence_stream(spec), K))
 
 
@@ -167,8 +171,7 @@ def series_expand(numerator: PolyLike, denominator: PolyLike, K: int) -> list[in
     >>> series_expand([0, 3, -2], [1, -3, 1], 4)
     [3, 7, 18, 47]
     """
-    if K < 1:
-        raise ValueError("K must be >= 1")
+    K = _at_least("K", K, 1)
     num = _as_poly(numerator)
     den = _as_poly(denominator)
     d0 = den[0]
@@ -207,6 +210,7 @@ def charpoly(matrix: Sequence[Sequence[int]]) -> Poly:
     Uses the Faddeev-LeVerrier recursion: every division it performs is by a
     small integer and provably exact, so the computation never leaves Z.
     """
+    matrix = [list(map(index, row)) for row in matrix]
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square")
@@ -217,11 +221,8 @@ def charpoly(matrix: Sequence[Sequence[int]]) -> Poly:
     aux = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
         aux = _mat_mul(matrix, aux)
-        tr = sum(aux[i][i] for i in range(n))
-        q, r = divmod(tr, k)
-        if r:
-            raise ArithmeticError("inexact division; matrix entries must be integers")
-        c = -q
+        # an int matrix has an int characteristic polynomial, so k divides tr
+        c = -(sum(aux[i][i] for i in range(n)) // k)
         coeffs[n - k] = c
         for i in range(n):
             aux[i][i] += c

@@ -9,15 +9,17 @@ unspecified spans; ``hjmn`` and ``pn`` pin every integer of their domains.
 
 from __future__ import annotations
 
+from operator import index
 from typing import NamedTuple
 
-from . import _build
+from . import _at_least, _build
 from .plmap import PLMap
 
 
 def _merged_anchors(spec: list[tuple[int, int]]) -> list[tuple[int, int]]:
     merged: dict[int, int] = {}
     for x, y in spec:
+        x, y = index(x), index(y)  # a family pins integers to integers
         if x in merged and merged[x] != y:
             raise ValueError(f"inconsistent anchor specification at x={x}: {merged[x]} vs {y}")
         merged[x] = y
@@ -40,8 +42,7 @@ def make_fmn(m: int, n: int) -> PLMap:
     Requires n >= 4 and 1 < m < n-1.  Its fixed-point counts are the ``a``
     sequence family with parameter n, independent of m.
     """
-    if n < 4:
-        raise ValueError("n must be >= 4")
+    n = _at_least("n", n, 4)
     if not (1 < m < n - 1):
         raise ValueError("m must satisfy 1 < m < n-1")
     spec = [(1, m + 1), (2, 1), (m, m - 1), (m + 1, m + 2), (n - 1, n), (n, m)]
@@ -55,8 +56,7 @@ def make_gn(n: int) -> PLMap:
     n=1 gives the three-anchor map whose fixed-point counts are the Lucas
     numbers 1, 3, 4, 7, 11, ...
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _at_least("n", n, 1)
     spec = [(1, n + 1), (2, 2 * n + 1), (n + 1, n + 2), (n + 2, n), (2 * n + 1, 1)]
     return PLMap(_merged_anchors(spec))
 
@@ -67,8 +67,7 @@ def make_hjmn(j: int, m: int, n: int) -> PLMap:
 
     Requires n >= 2 and 2 <= j, m <= 2n+1.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    n = _at_least("n", n, 2)
     top = 2 * n + 1
     if not (2 <= j <= top):
         raise ValueError("j must satisfy 2 <= j <= 2n+1")
@@ -86,8 +85,7 @@ def make_hjmn(j: int, m: int, n: int) -> PLMap:
 def make_pn(n: int) -> PLMap:
     """Odd map on [-n, n]: 0 -> 0, i -> i+1 for 1 <= i <= n-1, n -> -1,
     extended by oddness to the negative integers.  Requires n >= 2."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    n = _at_least("n", n, 2)
     pos = {0: 0, n: -1}
     for i in range(1, n):
         pos[i] = i + 1

@@ -54,6 +54,8 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import NamedTuple
 
+from . import _at_least
+
 # a piece with int fields (an integer map) takes about 375 bytes and one with
 # Fraction fields about 490, so a build within the default stays under 250 MB
 DEFAULT_MAX_PIECES = 500_000
@@ -338,10 +340,7 @@ class PLMap:
         the last iterate f^j built, when j <= k; piece counts never fall as
         k grows, so the budget binds exactly where a fresh build's would.
         """
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        if max_pieces < 1:
-            raise ValueError("max_pieces must be >= 1")
+        k, max_pieces = _at_least("k", k, 1), _at_least("max_pieces", max_pieces, 1)
         memo = self._iterate
         if memo and memo[0] <= k:
             j, pieces, ends = memo
@@ -574,12 +573,10 @@ class PLMap:
     def _solve(self, k: int, sign: int, method: str, max_pieces: int, count: bool) -> int | list[Fraction]:
         """Validate the query, pick the engine, and return the number of
         solutions (``count``) or the ascending list of them."""
-        if k < 1:
-            raise ValueError("k must be >= 1")
+        k = _at_least("k", k, 1)
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        if max_pieces < 1:
-            raise ValueError("max_pieces must be >= 1")
+        max_pieces = _at_least("max_pieces", max_pieces, 1)
         if sign == -1 and not (self._xs[0] <= 0 <= self._xs[-1]):
             raise DomainError("f^k(x) = -x needs 0 inside the domain")
         if self._resolve_method(k, method, max_pieces, count) == "markov":
@@ -633,6 +630,4 @@ class PLMap:
     ) -> list[int]:
         """[count_solutions(k) for k = 1..K]; each engine resumes from its last
         iterate, A^(k-1) or the pieces of f^(k-1)."""
-        if K < 1:
-            raise ValueError("K must be >= 1")
-        return [self.count_solutions(k, sign, method, max_pieces) for k in range(1, K + 1)]
+        return [self.count_solutions(k, sign, method, max_pieces) for k in range(1, _at_least("K", K, 1) + 1)]

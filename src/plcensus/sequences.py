@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from . import _build
+from . import _at_least, _build
 from .exactnum import Poly, RecurrenceSpec, recurrence_eval
 
 S2_NOTE = (
@@ -65,8 +65,7 @@ def _trace_numerator(den: Poly) -> Poly:
 
 def spec_a(n: int) -> SequenceSpec:
     """2^{k+1} - 1 through k = n-1, then t_k = 3t_{k-1} - sum(t_{k-2}..t_{k-n+1})."""
-    if n < 3:
-        raise ValueError("n must be >= 3")
+    n = _at_least("n", n, 3)
     prefix = [2 ** (k + 1) - 1 for k in range(1, n)]
     rec = RecurrenceSpec((3,) + (-1,) * (n - 2), prefix)
     den = Poly([1, -3] + [1] * (n - 2))
@@ -76,8 +75,7 @@ def spec_a(n: int) -> SequenceSpec:
 def spec_b(n: int) -> SequenceSpec:
     """Odd-index and even-index closed forms through k = 4n, then the lag-2
     recurrence t_k = 3t_{k-2} - sum(t_{k-4}, t_{k-6}, ..., t_{k-4n})."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _at_least("n", n, 1)
     prefix = [0] * (4 * n)
     for k in range(1, n + 1):
         prefix[2 * k - 2] = 1
@@ -97,8 +95,7 @@ def spec_b(n: int) -> SequenceSpec:
 def spec_c(j: int, m: int, n: int) -> SequenceSpec:
     """Three closed-form terms, then
     t_k = (2n+1)t_{k-1} - [2n-(j-m)]t_{k-2} - (j-m)t_{k-3}."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    n = _at_least("n", n, 2)
     top = 2 * n + 1
     if not (2 <= j <= top):
         raise ValueError("j must satisfy 2 <= j <= 2n+1")
@@ -117,8 +114,7 @@ def spec_c(j: int, m: int, n: int) -> SequenceSpec:
 
 def spec_d(m: int, n: int) -> SequenceSpec:
     """d_1 = n, d_2 = n^2 + 2m, then t_k = n*t_{k-1} + m*t_{k-2}."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    n = _at_least("n", n, 2)
     if not (1 - n <= m <= n):
         raise ValueError("m must satisfy 1-n <= m <= n")
     prefix = (n, n * n + 2 * m)
@@ -136,8 +132,7 @@ def spec_s(n: int) -> SequenceSpec:
     t_k = 3t_{k-1} - sum(t_{k-2}..t_{k-2n+1}); the generating function is
     -zM'/M + zL'/L over D = M L.  For n in {2, 3} the note compares its
     numerator with the advertised shortcut: exact for n = 3, not for n = 2."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    n = _at_least("n", n, 2)
     rec = RecurrenceSpec((3,) + (-1,) * (2 * n - 2), _s_prefix(n))
     M = Poly([1, -2] + [0] * (n - 2) + [-1])
     L = Poly([1] + [-1] * (n - 1))
