@@ -249,16 +249,16 @@ class QRSFinding(NamedTuple):
         }
 
 
-def _qrs_recurrence(n: int, q: int, r: int, s: int) -> RecurrenceSpec:
-    """The recurrence of ``qrs_terms``."""
+def _qrs_recurrence(n: int, q: int, r: int, s: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The coefficients and initial terms of ``qrs_terms``' recurrence."""
     base = 2 * n + 1
-    return RecurrenceSpec((base, -q, -s), (base, base**2 - 2 * q, base**3 - 6 * r))
+    return (base, -q, -s), (base, base**2 - 2 * q, base**3 - 6 * r)
 
 
 def qrs_terms(n: int, q: int, r: int, s: int, K: int) -> list[int]:
     """t_1 = 2n+1, t_2 = (2n+1)^2 - 2q, t_3 = (2n+1)^3 - 6r, then
     t_k = (2n+1)t_{k-1} - q*t_{k-2} - s*t_{k-3}."""
-    return recurrence_eval(_qrs_recurrence(n, q, r, s), K)
+    return recurrence_eval(RecurrenceSpec(*_qrs_recurrence(n, q, r, s)), K)
 
 
 def qrs_triple_for_c(j: int, m: int, n: int) -> tuple[int, int, int]:
@@ -289,7 +289,9 @@ def explore_qrs(
                 t = [None]
                 acc = t.__getitem__
                 first = None
-                stream = _recurrence_stream(_qrs_recurrence(n, q, r, s))
+                # n, q, r and s are checked ints, so the stream takes the
+                # recurrence's fields with no second check
+                stream = _recurrence_stream(*_qrs_recurrence(n, q, r, s))
                 for k, term in zip(range(1, K + 1), stream):
                     t.append(term)
                     if phi1(k, acc) % k:

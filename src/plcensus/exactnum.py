@@ -114,16 +114,17 @@ class RecurrenceSpec(_RecurrenceFields):
         return cls(*iterable)
 
 
-def _recurrence_stream(spec: RecurrenceSpec) -> Iterator[int]:
+def _recurrence_stream(coeffs: tuple[int, ...], prefix: tuple[int, ...]) -> Iterator[int]:
     """The terms t_1, t_2, ... without end: the prefix, then the recurrence
-    over a sliding window of the last len(coefficients) terms.
+    over a sliding window of the last len(coeffs) terms.  Both are the
+    checked ints of a ``RecurrenceSpec``'s fields, or of values checked
+    alike.
 
     Only a lag whose coefficient is not 0, 1 or -1 multiplies: a lag of 1 is
     added, a lag of -1 subtracted and a lag of 0 skipped.  Each step starts
     from a lag of coefficient other than -1 when there is one, so no term is
     summed from 0; an all-zero recurrence continues with zeros.
     """
-    prefix, coeffs = spec.initial_terms, spec.coefficients
     order = len(coeffs)
     yield from prefix
     if len(prefix) < order:
@@ -158,7 +159,7 @@ def recurrence_eval(spec: RecurrenceSpec, K: int) -> list[int]:
     [3, 7, 18, 47]
     """
     K = _at_least("K", K, 1)
-    return list(islice(_recurrence_stream(spec), K))
+    return list(islice(_recurrence_stream(spec.coefficients, spec.initial_terms), K))
 
 
 def series_expand(numerator: PolyLike, denominator: PolyLike, K: int) -> list[int]:

@@ -16,9 +16,14 @@ Counting runs on one of two interchangeable engines:
   with closed walks of the transition graph, except that an integer solution
   counts once in place of the closed walks continuing its one-sided
   neighbourhoods, exactly one walk per side.
-  This engine needs time polynomial in k.  It keeps its last matrix power
-  A^j and reaches A^k as A^j times A^(k-j), or from A alone, by repeated
-  squaring.
+  This engine needs time polynomial in k.  A count reads only n entries
+  of A^k, in one of two ways.  When the last matrix power A^j kept has
+  k/2 <= j <= k, it resumes A^k from it by repeated squaring of A, so a
+  ``count_sequence`` takes one product per k.  Otherwise each entry is the
+  dot product of a row of A^(k//2) with a column of A^(k - k//2): one
+  product fewer than squaring up to A^k, and none at k = 2.  Powers of A
+  commute, and a product skips the zeros of its left factor only, so every
+  product takes the lower power on the left.
 
 Both engines are exact and agree wherever both apply (the test suite checks
 them against each other).  ``method="auto"`` picks by size.  A composition
@@ -29,9 +34,11 @@ Measured, a piece costs more than a cell of a product, so ``auto`` runs
 lap, read off the laps, so no matrix is built to decide), when its matrix
 fits the piece budget (n^2 <= ``max_pieces``) and from a flip point on;
 otherwise it runs ``pieces``.  A count flips at the least k with
-laps^k > n^2.  An enumeration walks one word per unit-interval cylinder, up
-to n/laps of them per piece of f^k, so it flips there too when each lap is
-one unit interval (laps = n), and otherwise stays on ``pieces``.  The
+laps^k >= n^2: on a map with one lap per unit interval that is k = 2, where
+f^2 and A have the same n^2 bound and the count reads A's entries with no
+product.  An enumeration walks one word per unit-interval cylinder, up to
+n/laps of them per piece of f^k, so it flips there too when each lap is one
+unit interval (laps = n), and otherwise stays on ``pieces``.  The
 eligibility and the flip points are read once per map, with the laps.
 
 No float enters.  The anchors and the pieces hold every exact number as an
@@ -52,6 +59,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple
 
 from . import _at_least
@@ -69,8 +77,13 @@ def _narrow(v):
 
 def _exact(v) -> int | Fraction:
     """v as an exact rational, narrowed: an int stays an int, and anything
-    else ``Fraction`` accepts goes through it."""
-    return v if type(v) is int else _narrow(Fraction(v))
+    but a float that ``Fraction`` accepts goes through it.  A float's binary
+    expansion is rarely the number written: 0.1 is not 1/10."""
+    if type(v) is int:
+        return v
+    if isinstance(v, float):
+        raise TypeError(f"{v!r} is a float; give an int, a Fraction or a string such as '1/10'")
+    return _narrow(Fraction(v))
 
 
 class DomainError(ValueError):
@@ -126,23 +139,32 @@ def _quotient(a, b):
     return Fraction(a, b) if r else q
 
 
+def _product(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """a times b by ``exactnum._mat_mul``, imported only when a product is
+    taken: a count that takes none loads no ``exactnum``."""
+    from .exactnum import _mat_mul
+
+    return _mat_mul(a, b)
+
+
 def _engine_rule(laps) -> tuple[bool, int | None, int | None]:
     """What ``auto`` needs of a map, read off its laps once: whether the
     ``markov`` engine can count it (int fields and a nonzero slope on every
     lap), and the two flip points over the n unit intervals of the domain,
     or None where no k flips (one lap, or not usable).
 
-    The count flips at the least k with laps^k > n^2, once f^k can have more
-    pieces than A has cells.  Enumeration flips there too when laps == n,
-    where the markov words are exactly the pieces of f^k.  With fewer laps a
-    piece spans up to n/laps unit-interval cylinders, one word each, so the
-    walk outgrows the budget before the pieces do: enumeration never flips."""
+    The count flips at the least k with laps^k >= n^2, once f^k can have as
+    many pieces as A has cells: at k = 2 the count reads A's entries and takes
+    no product.  Enumeration flips there too when laps == n, where the markov
+    words are exactly the pieces of f^k.  With fewer laps a piece spans up to
+    n/laps unit-interval cylinders, one word each, so the walk outgrows the
+    budget before the pieces do: enumeration never flips."""
     usable = all(lap.slope and all(type(v) is int for v in lap) for lap in laps)
     if not usable or len(laps) == 1:
         return usable, None, None
     n = laps[-1].hi - laps[0].lo
     k, power = 1, len(laps)
-    while power <= n * n:
+    while power < n * n:
         k, power = k + 1, power * len(laps)
     return usable, k, k if len(laps) == n else None
 
@@ -197,7 +219,8 @@ class _MarkovData(NamedTuple):
 class PLMap:
     """Continuous piecewise-linear self-map of an interval, from anchors.
 
-    Anchors may be ints, Fractions, or anything ``Fraction`` accepts.
+    Anchors may be ints, Fractions, or anything but a float that
+    ``Fraction`` accepts, such as the string ``"1/10"``.
     Instances are immutable; all operations are pure and safe to share
     across threads.  The anchors' x's and y's are kept narrowed, ints where
     integral, from construction on; equality, hashing and evaluation read
@@ -206,8 +229,8 @@ class PLMap:
     laps, and with them ``auto``'s rule as ``(usable, count flip point,
     enumerate flip point)``; the Markov data; the last iterate f^j built as
     ``(j, pieces, values at the piece ends)``; and the last matrix power as
-    ``(j, A^j)``, which a later A^k resumes by squaring.  A copy or a pickle
-    is rebuilt from the anchors, with no memo.
+    ``(j, A^j)``, which a later A^k, k/2 <= j <= k, resumes by squaring.  A
+    copy or a pickle is rebuilt from the anchors, with no memo.
     """
 
     __slots__ = ("_xs", "_ys", "_anchors", "_rule", "_laps", "_markov", "_iterate", "_power")
@@ -380,18 +403,22 @@ class PLMap:
 
     def _matrix_power(self, md: _MarkovData, k: int) -> list[list[int]]:
         """A^k as A^j times A^(k-j), with A^j the last power when j <= k and
-        j = 0 otherwise; A^(k-j) is reached by repeated squaring of A."""
-        from .exactnum import _mat_mul
-
+        j = 0 otherwise; A^(k-j) is reached by repeated squaring of A.  Powers
+        of A commute, so each product takes the lower power on the left, the
+        factor whose zeros ``_mat_mul`` skips."""
         memo = self._power
-        Ak, d = (memo[1], k - memo[0]) if memo and memo[0] <= k else (None, k)
-        square = md.A
+        j, Ak = memo if memo and memo[0] <= k else (0, None)
+        d, s, square = k - j, 1, md.A
         while d:
             if d & 1:
-                Ak = square if Ak is None else _mat_mul(Ak, square)
+                if Ak is None:
+                    Ak = square
+                else:
+                    Ak = _product(square, Ak) if s <= j else _product(Ak, square)
+                j += s
             d >>= 1
             if d:
-                square = _mat_mul(square, square)
+                square, s = _product(square, square), 2 * s
         object.__setattr__(self, "_power", (k, Ak))
         return Ak
 
@@ -423,7 +450,7 @@ class PLMap:
                     "with nonzero slope on every unit interval"
                 )
             return "markov"
-        # from count_flip on f^k can have more pieces than A has cells, and
+        # from count_flip on f^k can have as many pieces as A has cells, and
         # the matrix count beats the pieces build; enumeration walks one word
         # per unit-interval cylinder, so it flips only where each lap is one
         # unit interval
@@ -516,13 +543,22 @@ class PLMap:
         return ints, overlap
 
     def _markov_count(self, md: _MarkovData, k: int, sign: int) -> int:
+        """The number of solutions: the entries of A^k that pair each unit
+        interval with its target, less the integer-point correction; read
+        off A^k resumed from the last power A^j, k/2 <= j <= k, or else as
+        dot products of rows of A^(k//2) with columns of A^(k - k//2), the
+        higher half kept as the last power."""
         ints, overlap = self._int_solutions(md, k, sign)
-        Ak = self._matrix_power(md, k)
-        total = 0
-        for j in range(md.n):
-            target = md.target(j, sign)
-            if target is not None:
-                total += Ak[j][target]
+        pairs = [(j, t) for j in range(md.n) if (t := md.target(j, sign)) is not None]
+        memo = self._power
+        if k == 1 or (memo and k <= 2 * memo[0] <= 2 * k):
+            Ak = self._matrix_power(md, k)
+            total = sum(Ak[j][t] for j, t in pairs)
+        else:
+            low = self._matrix_power(md, k // 2)
+            high = _product(md.A, low) if k % 2 else low
+            object.__setattr__(self, "_power", (k - k // 2, high))
+            total = sum(sum(map(mul, low[j], [row[t] for row in high])) for j, t in pairs)
         return total - overlap + len(ints)
 
     def _markov_enumerate(self, md: _MarkovData, k: int, sign: int, max_pieces: int) -> list[Fraction]:

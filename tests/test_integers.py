@@ -126,4 +126,11 @@ def test_rational_plmap_anchors_are_unchanged():
     assert m.anchors == ((0, 0), (F(1, 2), 1), (1, 0))
     assert m.solution_set(2).points == (0, F(2, 5), F(2, 3), F(4, 5))
     assert m.count_sequence(5) == [2, 4, 8, 16, 32]
-    assert PLMap([(0.0, 0), (0.5, 1), (1, 0)]) == m
+    # a float is its binary expansion, rarely the number written: 0.1 would
+    # be 3602879701896397/36028797018963968, so an anchor or a point that is
+    # a float raises
+    for anchors in ([(0.0, 0), (0.5, 1), (1, 0)], [(0, 0.1), (1, 1)]):
+        with pytest.raises(TypeError, match="is a float"):
+            PLMap(anchors)
+    with pytest.raises(TypeError, match="is a float"):
+        m(0.5)

@@ -662,7 +662,8 @@ def test_markov_count_keeps_one_matrix_power():
 )
 def test_markov_counts_by_squaring_match_a_resumed_sequence_and_the_spec(make, sign, want):
     # count_sequence resumes A^(k-1) with one product per k; a fresh map
-    # reaches A^k by squaring; both equal the spec's terms
+    # reads A^k's entries off the halves A^(k//2) and A^(k - k//2), reached by
+    # squaring; both equal the spec's terms
     seq = make().count_sequence(40, sign=sign, method="markov")
     assert seq == want
     for k in range(1, 41):
@@ -692,6 +693,74 @@ def test_matrix_powers_square(monkeypatch):
     assert len(products) == 19
 
 
+def _nonzeros(matrix):
+    return sum(len(row) - row.count(0) for row in matrix)
+
+
+def test_markov_counts_take_one_product_fewer_than_squaring(monkeypatch):
+    products = []
+    mat_mul = exactnum._mat_mul
+
+    def counted(a, b):
+        products.append((_nonzeros(a), _nonzeros(b)))
+        return mat_mul(a, b)
+
+    monkeypatch.setattr(exactnum, "_mat_mul", counted)
+    want = seq_c(3, 4, 3, 40)
+    for k in range(1, 41):
+        products.clear()
+        assert make_hjmn(3, 4, 3).count_solutions(k, method="markov") == want[k - 1]
+        # squaring up to A^k takes a product per bit past the first and per
+        # set bit past the first
+        squaring = k.bit_length() - 1 + k.bit_count() - 1
+        assert len(products) == max(squaring - 1, 0), k
+        # every product puts the lower power, with no more nonzeros, on the left
+        assert all(a <= b for a, b in products), (k, products)
+    products.clear()
+    assert make_hjmn(3, 4, 3).count_solutions(8, method="markov") == want[7]
+    assert len(products) == 2  # A^2 and A^4, against A^2, A^4 and A^8 by squaring
+    products.clear()
+    assert make_gn(1).count_solutions(2) == 3
+    assert products == []
+    # a sequence resumes A^(k-1), with A on the left
+    products.clear()
+    assert make_hjmn(3, 4, 3).count_sequence(20, method="markov") == want[:20]
+    assert len(products) == 19 and all(a <= b for a, b in products)
+    # a count after a count at 2k reads the higher half kept, A^k, directly,
+    # and one below the higher half kept goes back to the halves
+    m = make_hjmn(3, 4, 3)
+    m.count_solutions(24, method="markov")
+    products.clear()
+    assert m.count_solutions(12, method="markov") == want[11]
+    assert products == []
+    assert m.count_solutions(11, method="markov") == want[10]
+    assert len(products) == 4  # A^2, A^4, A * A^4 and A * A^5, against 5 by squaring
+
+
+def _markov_outcomes(m, k, sign):
+    """The markov count of f^k(x) = sign*x on a fresh map, after k - 1 and
+    after 2k, or the InfiniteSolutions each raises."""
+    fresh = _outcome(PLMap(m.anchors).count_solutions, k, sign, "markov")
+    after = []
+    for first in (k - 1, 2 * k):
+        resumed = PLMap(m.anchors)
+        if first:
+            _outcome(resumed.count_solutions, first, sign, "markov")
+        after.append(_outcome(resumed.count_solutions, k, sign, "markov"))
+    return fresh, *after
+
+
+@given(m=INTEGER_MAPS, sign=st.sampled_from([1, -1]), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_markov_count_from_the_halves_or_resumed_equals_pieces(m, sign, data):
+    # up to k = 8 where laps^k stays within 3^8, so the pieces stay few
+    sign = sign if m.domain[0] <= 0 <= m.domain[1] else 1
+    laps = len(m._lap_tuple())
+    k = data.draw(st.integers(1, max(k for k in range(1, 9) if laps**k <= 3**8)))
+    want = _outcome(PLMap(m.anchors).count_solutions, k, sign, "pieces")
+    assert _markov_outcomes(m, k, sign) == (want, want, want), (m, k, sign)
+
+
 def _outcome(solve, k, sign, method):
     try:
         return solve(k, sign=sign, method=method)
@@ -703,7 +772,7 @@ def _outcome(solve, k, sign, method):
 @settings(max_examples=40, deadline=None)
 def test_auto_equals_both_engines_across_its_switch(m, sign):
     # on a map anchored at every integer, laps = n and auto moves from
-    # pieces to markov at k = 3, where laps^k first exceeds n^2, for both
+    # pieces to markov at k = 2, where laps^k first reaches n^2, for both
     # counting and enumeration
     sign = sign if m.domain[0] <= 0 <= m.domain[1] else 1
     for k in range(1, 7):
@@ -716,13 +785,17 @@ def test_auto_equals_both_engines_across_its_switch(m, sign):
 
 
 def test_auto_counts_on_markov_once_laps_to_the_k_exceed_n_squared():
-    # gn(1): two laps over n = 2 unit intervals, so 2^k > 2^2 from k = 3
+    # gn(1): two laps over n = 2 unit intervals, so 2^k >= 2^2 from k = 2,
+    # where the count reads A^1 against itself and keeps it as the last power
+    m = make_gn(1)
+    assert m.count_solutions(1) == 1
+    assert m._iterate[0] == 1 and m._markov is None and m._power is None
     m = make_gn(1)
     assert m.count_solutions(2) == 3
-    assert m._iterate[0] == 2 and m._markov is None and m._power is None
+    assert m._iterate is None and m._power[0] == 1
     m = make_gn(1)
     assert m.count_solutions(3) == 4
-    assert m._iterate is None and m._power[0] == 3
+    assert m._iterate is None and m._power[0] == 2
     # the tent over [0, 400]: 2^13 pieces against 400^2 cells, so no matrix
     tent = PLMap([(0, 0), (200, 400), (400, 0)])
     assert tent.count_solutions(13) == 2**13
@@ -782,13 +855,13 @@ def test_auto_builds_no_matrix_past_the_piece_budget(monkeypatch):
 
 def _brute_force_auto(m, k, max_pieces, count):
     """auto's size rule taken literally: markov when the laps have int fields
-    and nonzero slopes, n^2 <= max_pieces and laps^k exceeds n^2, for an
+    and nonzero slopes, n^2 <= max_pieces and laps^k reaches n^2, for an
     enumeration only where laps = n."""
     laps = m._lap_tuple()
     usable = all(lap.slope and all(type(v) is int for v in lap) for lap in laps)
     n = laps[-1].hi - laps[0].lo
     flips = count or len(laps) == n
-    return "markov" if usable and flips and n * n <= max_pieces and len(laps) ** k > n**2 else "pieces"
+    return "markov" if usable and flips and n * n <= max_pieces and len(laps) ** k >= n**2 else "pieces"
 
 
 @pytest.mark.parametrize(
@@ -821,10 +894,10 @@ def test_auto_flip_point_matches_the_brute_force_rule(m):
 def test_auto_flip_point_values():
     g1 = make_gn(1)
     g1._lap_tuple()
-    assert g1._rule == (True, 3, 3)  # 2^3 > 2^2, and laps = n
+    assert g1._rule == (True, 2, 2)  # 2^2 >= 2^2, and laps = n
     tent = PLMap([(0, 0), (200, 400), (400, 0)])
     tent._lap_tuple()
-    assert tent._rule == (True, 18, None)  # 2^18 > 400^2 >= 2^17, and laps < n
+    assert tent._rule == (True, 18, None)  # 2^18 >= 400^2 > 2^17, and laps < n
     one_lap = PLMap([(0, 0), (100000, 100000)])
     one_lap._lap_tuple()
     assert one_lap._rule == (True, None, None)

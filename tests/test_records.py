@@ -162,8 +162,8 @@ def test_importing_the_package_or_the_cli_loads_no_library_module():
 
 
 # command -> the plcensus submodules, fractions and json that running it loads;
-# gn(1) counts on pieces at k = 2 and on markov, which multiplies matrices
-# with exactnum._mat_mul, from k = 3
+# gn(1) counts on markov from k = 2, which reads A's entries with no product,
+# and multiplies matrices with exactnum._mat_mul from k = 3
 COMMAND_MODULES = {
     "seq --family b --n 1 --k 5 --format bfile": {"sequences", "exactnum"},
     "seq --family a --n 3 --k 2": {"sequences", "exactnum", "json"},
