@@ -181,6 +181,8 @@ class SolutionSet(tuple):
     __slots__ = ()
 
     def __new__(cls, points):
+        # names the argument: tuple.__new__ takes no keyword, and the record
+        # is built as SolutionSet(points=...)
         return super().__new__(cls, points)
 
     @property

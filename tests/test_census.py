@@ -1,5 +1,3 @@
-import sys
-import threading
 import tracemalloc
 
 import pytest
@@ -26,6 +24,7 @@ from plcensus.families import make_base_map, make_fmn, make_gn, make_hjmn, make_
 from plcensus.plmap import InfiniteSolutions, PLMap
 from plcensus.exactnum import series_expand
 from plcensus.sequences import build_spec, seq_b, seq_s, spec_a, spec_d, spec_s, terms
+from harness import check_census_orbits, in_threads, integer_maps, mobius, moebius_rows, odd_map, rational_maps
 
 F = Fraction
 
@@ -107,29 +106,11 @@ def test_factorize_memo_is_thread_safe():
     q, r, s = qrs_triple_for_c(3, 4, 3)
     serial = explore_qrs(3, [q], [r], [s], 2000)
     assert serial == [QRSFinding(q, r, s, True, None)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        census._factorize.cache_clear()
-        barrier = threading.Barrier(4, timeout=30)
-        got = [None] * 4
-
-        def work(i):
-            barrier.wait()
-            got[i] = explore_qrs(3, [q], [r], [s], 2000)
-
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-        assert not any(t.is_alive() for t in threads)
-        assert got == [serial] * 4
-        assert factorize.cache_info().misses >= 2000
-        sieve = _sieve_factorizations(2000)
-        assert all(factorize(m) == sieve[m] for m in range(1, 2001))
-    finally:
-        sys.setswitchinterval(interval)
+    census._factorize.cache_clear()
+    assert in_threads(lambda: explore_qrs(3, [q], [r], [s], 2000)) == [serial] * 4
+    assert factorize.cache_info().misses >= 2000
+    sieve = _sieve_factorizations(2000)
+    assert all(factorize(m) == sieve[m] for m in range(1, 2001))
 
 
 def test_factorize_memo_is_compact():
@@ -200,18 +181,6 @@ def test_phi2_power_of_two_branch():
         assert phi2(m, psi) == 3**m - 1
 
 
-def _mobius(n):
-    mu, d = 1, 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            mu = -mu
-        d += 1
-    return -mu if n > 1 else mu
-
-
 @given(st.integers(1, 5000), st.data())
 @settings(max_examples=200, deadline=None)
 def test_phi_operators_match_moebius_sums(m, data):
@@ -223,9 +192,9 @@ def test_phi_operators_match_moebius_sums(m, data):
         return drawn[k]
 
     divisors = [d for d in range(1, m + 1) if m % d == 0]
-    assert phi1(m, acc) == sum(_mobius(d) * acc(m // d) for d in divisors)
+    assert phi1(m, acc) == sum(mobius(d) * acc(m // d) for d in divisors)
     power_of_two = m & (m - 1) == 0
-    odd_sum = sum(_mobius(d) * acc(m // d) for d in divisors if d % 2)
+    odd_sum = sum(mobius(d) * acc(m // d) for d in divisors if d % 2)
     assert phi2(m, acc) == odd_sum - power_of_two
 
 
@@ -304,39 +273,6 @@ def test_report_serialization():
     }
 
 
-def _moebius_rows(term_list, operator, K):
-    """The (k, term, value, modulus, quotient, passed) rows of a sweep, from
-    Moebius sums over the divisors and separate % and //."""
-    rows = []
-    for k in range(1, K + 1):
-        divisors = [d for d in range(1, k + 1) if k % d == 0]
-        if operator == "phi1":
-            value, modulus = sum(_mobius(d) * term_list[k // d - 1] for d in divisors), k
-        else:
-            odd_sum = sum(_mobius(d) * term_list[k // d - 1] for d in divisors if d % 2)
-            value, modulus = odd_sum - (k & (k - 1) == 0), 2 * k
-        passed = value % modulus == 0
-        rows.append((k, term_list[k - 1], value, modulus, value // modulus if passed else None, passed))
-    return rows
-
-
-@given(st.lists(st.one_of(st.integers(-5, 5), st.integers(-2**200, 2**200)), min_size=1, max_size=400))
-@example([0] * 397)
-@example([-2**100, *range(1, 397)])  # K = 397, a prime: the last prime sieved is K itself
-@settings(max_examples=40, deadline=None)
-def test_phi1_sieve_equals_per_k_phi1_and_moebius_sums(term_list):
-    K = len(term_list)
-    acc = [None, *term_list].__getitem__
-    rows = [(r.k, r.phi_value, r.value, r.modulus, r.quotient, r.passed)
-            for r in census._congruence_reports(term_list, "phi1", K)]
-    per_k = []
-    for k in range(1, K + 1):
-        value = phi1(k, acc)
-        per_k.append((k, term_list[k - 1], value, k, value // k if value % k == 0 else None, value % k == 0))
-    assert rows == per_k
-    assert rows == _moebius_rows(term_list, "phi1", K)
-
-
 def test_a_k_5000_phi1_sweep_equals_per_k_phi1():
     # every prime <= 5000 and every prime power <= 5000 meets the sieve
     K = 5000
@@ -364,7 +300,7 @@ def test_sweep_rows_match_moebius_sums(family, params, operator):
     reports = verify_congruence(spec, operator, K)
     rows = [(r.k, r.phi_value, r.value, r.modulus, r.quotient, r.passed) for r in reports]
     # the terms come from the generating function, not the recurrence
-    assert rows == _moebius_rows(series_expand(spec.gf_num, spec.gf_den, K), operator, K)
+    assert rows == moebius_rows(series_expand(spec.gf_num, spec.gf_den, K), operator, K)
     assert {r.operator for r in reports} == {operator}
     if operator == "phi2" and family != "s":
         assert any(r.quotient is None and not r.passed for r in reports)
@@ -401,144 +337,16 @@ def test_symmetric_census_rejects_non_odd():
         symmetric_census(PLMap([(-1, 1), (0, 0), (2, -1)]), 1)
 
 
-def _orbit_walk_count(mp, points, period):
-    """The points whose orbit under one-step evaluation first returns at
-    step ``period``.  Each orbit is walked once and all its points marked;
-    every point it passes must be one of ``points``."""
-    solutions, seen, count = set(points), set(), 0
-    for x in points:
-        if x in seen:
-            continue
-        orbit, v = [], x
-        for _ in range(period):
-            assert v in solutions, (mp, x, v)
-            orbit.append(v)
-            v = mp(v)
-            if v == x:
-                break
-        assert v == x, (mp, x)
-        seen.update(orbit)
-        count += len(orbit) if len(orbit) == period else 0
-    return count
-
-
-def _least_period_count(mp, m):
-    """Slow reference: the solutions of f^m(x) = x of least period m."""
-    return _orbit_walk_count(mp, mp.solution_set(m).points, m)
-
-
 def test_periodic_census_matches_orbit_walk():
     rational = PLMap([(0, F(1, 4)), (F(1, 2), 1), (F(2, 3), 0), (1, F(1, 2))])
     for mp, top in ((make_base_map(), 8), (make_gn(2), 8), (make_hjmn(4, 3, 2), 6), (rational, 8)):
-        for m in range(1, top + 1):
-            want = _least_period_count(mp, m)
-            assert periodic_census(mp, m) == (want, want // m), (mp, m)
-
-
-def _symmetric_period_count(mp, m):
-    """Slow reference: the solutions of f^m(x) = -x of least period 2m; an
-    odd map keeps their orbits among them."""
-    return _orbit_walk_count(mp, mp.solution_set(m, sign=-1).points, 2 * m)
-
-
-def _odd_map(anchors):
-    """The odd map through the origin and the given anchors right of it."""
-    right = [(F(0), F(0)), *anchors]
-    return PLMap([(-x, -y) for x, y in reversed(right[1:])] + right)
-
-
-def _assert_symmetric_census_matches_orbit_walk(mp, top):
-    for m in range(1, top + 1):
-        try:
-            want = _symmetric_period_count(mp, m)
-        except InfiniteSolutions as exc:
-            with pytest.raises(InfiniteSolutions) as got:
-                symmetric_census(mp, m)
-            assert (got.value.k, got.value.sign) == (exc.k, exc.sign), (mp, m)
-            continue
-        assert symmetric_census(mp, m) == (want, want // (2 * m)), (mp, m)
+        check_census_orbits(mp, 1, top)
 
 
 def test_symmetric_census_matches_orbit_walk():
     integer = [[-2, 2], [2, -3, 1], [-3, 1, 3]]  # f(1), f(2), ...
-    for mp in (make_pn(2), make_pn(3), make_pn(4), *(_odd_map(list(enumerate(vs, 1))) for vs in integer)):
-        _assert_symmetric_census_matches_orbit_walk(mp, 6)
-
-
-@given(
-    st.lists(st.integers(1, 5), unique=True, max_size=3).map(lambda xs: [*sorted(xs), 6]).flatmap(
-        lambda xs: st.lists(st.integers(-4, 4), min_size=len(xs), max_size=len(xs)).map(
-            lambda ys: [(F(x, 6), F(y, 4)) for x, y in zip(xs, ys)]
-        )
-    )
-)
-@example([(F(1, 2), -1), (1, F(1, 2))])
-@example([(F(1, 6), F(3, 4)), (F(1, 2), 1), (1, F(-3, 4))])
-@example([(F(1, 3), 1), (F(5, 6), F(-1, 4)), (1, -1)])
-@example([(F(1, 6), 0), (F(1, 3), F(-3, 4)), (1, F(1, 4))])
-@example([(1, -1)])  # f = -x: f^k(x) = -x holds identically for odd k
-@settings(max_examples=25, deadline=None)
-def test_symmetric_census_matches_orbit_walk_on_rational_maps(anchors):
-    # odd maps on [-1, 1] with anchors in sixths and values in quarters
-    _assert_symmetric_census_matches_orbit_walk(_odd_map(anchors), 6)
-
-
-@given(
-    st.lists(st.integers(1, 5), unique=True, max_size=4).map(lambda xs: [0, *sorted(xs), 6]).flatmap(
-        lambda xs: st.lists(st.integers(0, 4), min_size=len(xs), max_size=len(xs)).map(
-            lambda ys: [(F(x, 6), F(y, 4)) for x, y in zip(xs, ys)]
-        )
-    )
-)
-@example([(0, F(1, 4)), (F(1, 2), 1), (F(2, 3), 0), (1, F(1, 2))])
-@settings(max_examples=60, deadline=None)
-def test_census_matches_phi1_on_rational_maps(anchors):
-    # anchors off the integers: the solution sets come from the pieces engine
-    mp = PLMap(anchors)
-    try:
-        counts = mp.count_sequence(4)
-        for m in range(1, 5):
-            assert periodic_census(mp, m).count == phi1(m, lambda k: counts[k - 1])
-    except InfiniteSolutions:
-        return
-
-
-def _nonflat(values):
-    return all(a != b for a, b in zip(values, values[1:]))
-
-
-@given(st.integers(-3, 1), st.integers(2, 5).flatmap(
-    lambda n: st.lists(st.integers(0, n), min_size=n + 1, max_size=n + 1).filter(_nonflat)
-))
-@settings(max_examples=40, deadline=None)
-def test_census_matches_phi1_on_integer_maps(lo, values):
-    # integer Markov maps, against markov-engine counts
-    mp = PLMap([(lo + i, lo + v) for i, v in enumerate(values)])
-    try:
-        counts = [mp.count_solutions(k, method="markov") for k in range(1, 6)]
-    except InfiniteSolutions:
-        return
-    for m in range(1, 6):
-        assert periodic_census(mp, m).count == phi1(m, lambda k: counts[k - 1])
-
-
-@given(st.integers(2, 4).flatmap(
-    lambda n: st.lists(st.integers(-n, n), min_size=n, max_size=n).map(lambda vs: [0, *vs]).filter(_nonflat)
-))
-@example([0, 2, -1])
-@example([0, 2, 3, -1])
-@example([0, 2, 3, 4, -1])
-@settings(max_examples=40, deadline=None)
-def test_symmetric_census_matches_phi2_on_odd_maps(values):
-    # odd integer maps, the p_n family among them (the examples)
-    n = len(values) - 1
-    mp = PLMap([(x, values[x]) if x >= 0 else (x, -values[-x]) for x in range(-n, n + 1)])
-    try:
-        counts = [mp.count_solutions(k, sign=-1, method="markov") for k in range(1, 6)]
-    except InfiniteSolutions:
-        return
-    for m in range(1, 6):
-        assert symmetric_census(mp, m).count == phi2(m, lambda k: counts[k - 1])
+    for mp in (make_pn(2), make_pn(3), make_pn(4), *(odd_map(list(enumerate(vs, 1))) for vs in integer)):
+        check_census_orbits(mp, -1, 6)
 
 
 def _lower_union(mp, m, sign, primes, seed=()):
@@ -549,18 +357,7 @@ def _lower_union(mp, m, sign, primes, seed=()):
     return set().union(*sets), overlap
 
 
-@given(st.one_of(
-    st.tuples(st.integers(-3, 1), st.integers(2, 4)).flatmap(
-        lambda lo_n: st.lists(st.integers(0, lo_n[1]), min_size=lo_n[1] + 1, max_size=lo_n[1] + 1)
-        .filter(_nonflat)
-        .map(lambda vs: PLMap([(lo_n[0] + i, lo_n[0] + v) for i, v in enumerate(vs)]))
-    ),
-    st.lists(st.integers(1, 5), unique=True, max_size=3).map(lambda xs: [0, *sorted(xs), 6]).flatmap(
-        lambda xs: st.lists(st.integers(0, 4), min_size=len(xs), max_size=len(xs)).map(
-            lambda ys: PLMap([(F(x, 6), F(y, 4)) for x, y in zip(xs, ys)])
-        )
-    ),
-))
+@given(st.one_of(integer_maps(widths=(2, 4)), rational_maps(inner=3)))
 @example(make_gn(1))
 @example(PLMap([(0, F(1, 4)), (F(1, 2), 1), (F(2, 3), 0), (1, F(1, 2))]))
 @settings(max_examples=30, deadline=None)
@@ -705,15 +502,6 @@ def test_explore_qrs_theorem_backed_triples():
         assert finding.holds, (j, m)
 
 
-def _eager_first_failure(n, q, r, s, K):
-    t = qrs_terms(n, q, r, s, K)
-    for k in range(1, K + 1):
-        value = sum(_mobius(d) * t[k // d - 1] for d in range(1, k + 1) if k % d == 0)
-        if value % k:
-            return k
-    return None
-
-
 @given(st.integers(2, 5), st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9), st.integers(1, 200))
 @example(2, 1, 1, 1, 1)
 @example(2, 1, 1, 1, 2)
@@ -722,7 +510,8 @@ def _eager_first_failure(n, q, r, s, K):
 @example(2, 0, 0, 0, 200)  # holds through K
 @settings(max_examples=80, deadline=None)
 def test_explore_qrs_matches_eager_search(n, q, r, s, K):
-    first = _eager_first_failure(n, q, r, s, K)
+    # the eager search: the Moebius sum at every k <= K, then the first that fails
+    first = next((k for k, *_, passed in moebius_rows(qrs_terms(n, q, r, s, K), "phi1", K) if not passed), None)
     assert explore_qrs(n, [q], [r], [s], K) == [QRSFinding(q, r, s, first is None, first)]
 
 

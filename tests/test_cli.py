@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from plcensus.cli import build_parser, main
+from plcensus.cli import main
 from plcensus.sequences import seq_c
 
 
@@ -187,6 +187,9 @@ def test_count_malformed_anchor(capsys):
         code, out, err = run(capsys, "count", "--map", "custom", "--anchors", f"{bad},1:2", "--k", "1")
         assert (code, out) == (2, "")
         assert f"anchor '{bad}' is not x:y" in err
+    code, out, err = run(capsys, "count", "--map", "custom", "--anchors", "0:0,x:1", "--k", "1")
+    assert (code, out) == (2, "")
+    assert "Invalid literal for Fraction: 'x'" in err
 
 
 # -- verify ----------------------------------------------------------------------
@@ -212,13 +215,6 @@ def test_verify_family_s_phi2(capsys):
 def test_verify_family_s_defaults_to_phi2(capsys):
     code, out, _ = run(capsys, "verify", "--family", "s", "--n", "2", "--K", "10")
     assert json.loads(out)["operator"] == "phi2"
-    assert code == 0
-
-
-def test_verify_family_s_phi1_is_conjecture(capsys):
-    code, out, _ = run(capsys, "verify", "--family", "s", "--n", "2", "--K", "10", "--operator", "phi1")
-    record = json.loads(out)
-    assert record["target"] == "conjecture:phi1-on-s"
     assert code == 0
 
 
@@ -314,24 +310,21 @@ def test_verify_empty_range_is_a_usage_error(capsys):
     assert "empty range '3..1'" in err
 
 
-def test_verify_family_s_phi1_prints_the_conjecture_record(capsys):
+def test_verify_family_s_phi1_runs_the_family_path(capsys):
+    # the pn(n) oracle at sign -1, then the sieved phi1 sweep, as on every family
     argv = ["verify", "--family", "s", "--n", "2", "--K", "30", "--operator", "phi1"]
-    code, out, _ = run(capsys, *argv)
+    code, out, _ = run(capsys, *argv, "--oracle-depth", "4")
     assert code == 0
     record = json.loads(out)
-    assert list(record) == ["command", "target", "params", "K", "rows", "summary"]
-    assert (record["target"], record["params"], record["K"]) == ("conjecture:phi1-on-s", {"n": 2}, 30)
+    assert list(record) == ["command", "target", "params", "operator", "K", "oracle_check", "rows", "summary"]
+    assert (record["target"], record["params"], record["operator"], record["K"]) == ("family:s", {"n": 2}, "phi1", 30)
+    assert record["oracle_check"] == {"kind": "map", "depth": 4, "pass": True, "first_mismatch": None}
     assert [r["k"] for r in record["rows"]] == list(range(1, 31))
     assert record["summary"]["all_pass"] is True
     code, out, _ = run(capsys, *argv, "--format", "csv")
     lines = out.splitlines()
     assert code == 0 and len(lines) == 31
     assert lines[:2] == ["k,term,operator,value,modulus,quotient,pass", "1,1,phi1,1,1,1,true"]
-    # the redirect leaves the parsed arguments as they were
-    args = build_parser().parse_args(argv)
-    assert args.func(args) == 0
-    assert args.conjecture is None
-    capsys.readouterr()
 
 
 # -- one parameter rule for every mode --------------------------------------------
@@ -343,10 +336,9 @@ def test_verify_family_s_phi1_prints_the_conjecture_record(capsys):
         ("verify --conjecture phi1-on-s --n 2 --K 5 --m 5", "m"),
         ("verify --family a --n 4 --K 5 --q 0..3", "q"),
         ("verify --conjecture qrs --n 2 --q 0..1 --r 0 --s 0 --K 5 --family a --j 3", "family, j"),
-        ("verify --family s --n 2 --K 5 --operator phi1 --oracle-depth 4", "oracle_depth"),
         ("count --map gn --n 1 --k 3 --anchors 0:0,1:1", "anchors"),
     ],
-    ids=["phi1-on-s-operator", "phi1-on-s-m", "family-q", "qrs-family-j", "redirect-oracle-depth", "gn-anchors"],
+    ids=["phi1-on-s-operator", "phi1-on-s-m", "family-q", "qrs-family-j", "gn-anchors"],
 )
 def test_every_mode_rejects_a_flag_it_does_not_take(capsys, argv, flags):
     code, out, err = run(capsys, *argv.split())

@@ -76,6 +76,7 @@ def test_every_integer_size_passes_one_rule(site, monkeypatch, capsys):
         lambda: spec_c(3.5, 4, 2),
         lambda: make_gn(1.5),
         lambda: make_fmn(2.5, 5),
+        lambda: make_fmn(F(5, 2), 5),  # PLMap takes Fraction anchors; the family gate must refuse them
         lambda: explore_qrs(2, [0.5], [0], [0], 6),
         lambda: RecurrenceSpec((0.5,), (1,)),
         lambda: RecurrenceSpec((1,), (F(1),)),
@@ -86,9 +87,9 @@ def test_every_integer_size_passes_one_rule(site, monkeypatch, capsys):
         lambda: make_gn(1).count_solutions(3, max_pieces=2.5),
     ],
     ids=[
-        "spec_d-m", "spec_c-j", "make_gn-n", "make_fmn-m", "explore_qrs-q", "RecurrenceSpec-coefficient",
-        "RecurrenceSpec-initial-term", "Poly-Fraction", "Poly-float", "charpoly-float", "charpoly-Fraction",
-        "count_solutions-max_pieces",
+        "spec_d-m", "spec_c-j", "make_gn-n", "make_fmn-m", "make_fmn-Fraction-m", "explore_qrs-q",
+        "RecurrenceSpec-coefficient", "RecurrenceSpec-initial-term", "Poly-Fraction", "Poly-float", "charpoly-float",
+        "charpoly-Fraction", "count_solutions-max_pieces",
     ],
 )
 def test_no_float_or_fraction_reaches_an_exact_record(call):

@@ -1,7 +1,5 @@
 import copy
 import pickle
-import sys
-import threading
 import tracemalloc
 
 import pytest
@@ -22,29 +20,9 @@ from plcensus.plmap import (
     PLMap,
 )
 from plcensus.sequences import seq_b, seq_c, seq_s
+from harness import INTEGER_OR_RATIONAL_MAPS, check_engines, half_integer_maps, in_threads, integer_maps, iterate, outcome
 
 F = Fraction
-
-# integer maps as the integer census tests draw them, and rational maps on
-# the anchor grid of the rational census tests: x in sixths, y in quarters
-INTEGER_MAPS = st.tuples(st.integers(-3, 1), st.integers(2, 5)).flatmap(
-    lambda lo_n: st.lists(st.integers(0, lo_n[1]), min_size=lo_n[1] + 1, max_size=lo_n[1] + 1)
-    .filter(lambda vs: all(a != b for a, b in zip(vs, vs[1:])))
-    .map(lambda vs: PLMap([(lo_n[0] + i, lo_n[0] + v) for i, v in enumerate(vs)]))
-)
-RATIONAL_MAPS = st.lists(st.integers(1, 5), unique=True, max_size=4).map(lambda xs: [0, *sorted(xs), 6]).flatmap(
-    lambda xs: st.lists(st.integers(0, 4), min_size=len(xs), max_size=len(xs)).map(
-        lambda ys: PLMap([(F(x, 6), F(y, 4)) for x, y in zip(xs, ys)])
-    )
-)
-
-
-def iterate(m, x, k):
-    """f^k(x) by k-fold evaluation: the slow reference for the pieces."""
-    v = F(x)
-    for _ in range(k):
-        v = m(v)
-    return v
 
 
 # -- construction and evaluation ---------------------------------------------
@@ -144,7 +122,7 @@ def test_a_map_from_int_fraction_or_string_anchors_is_one_map(points):
     assert other != forms[0] and forms[0] != want
 
 
-@given(m=st.one_of(INTEGER_MAPS, RATIONAL_MAPS), i=st.integers(0, 24))
+@given(m=INTEGER_OR_RATIONAL_MAPS, i=st.integers(0, 24))
 @example(m=PLMap([(0, 0), (F(1, 3), 1), (1, F(1, 2))]), i=8)
 @settings(max_examples=80, deadline=None)
 def test_eval_returns_the_fraction_lap_formula(m, i):
@@ -243,7 +221,7 @@ def test_composition_soundness_random_points(ix, k, which):
     assert piece(x) == iterate(m, x, k)
 
 
-@given(m=st.one_of(INTEGER_MAPS, RATIONAL_MAPS), k=st.integers(1, 6), sign=st.sampled_from([1, -1]))
+@given(m=INTEGER_OR_RATIONAL_MAPS, k=st.integers(1, 6), sign=st.sampled_from([1, -1]))
 @example(m=PLMap([(0, 0), (3, 3)]), k=1, sign=1)
 @example(m=PLMap([(0, 0), (F(1, 2), F(1, 2)), (1, 0)]), k=1, sign=1)
 @example(m=PLMap([(0, 1), (F(1, 3), 1), (F(5, 6), 1), (1, F(1, 2))]), k=3, sign=1)
@@ -271,7 +249,7 @@ def test_pieces_and_solutions_stay_exact(m, k, sign):
         assert all(type(x) is F for x in points), (method, points)
 
 
-@given(m=st.one_of(INTEGER_MAPS, RATIONAL_MAPS))
+@given(m=INTEGER_OR_RATIONAL_MAPS)
 @example(m=PLMap([(0, 0), (F(1, 3), 1), (1, F(1, 2))]))
 @settings(max_examples=60, deadline=None)
 def test_laps_match_the_fraction_slope_formula(m):
@@ -442,49 +420,6 @@ def test_solutions_really_solve():
         assert iterate(p3, x, 2) == -x
 
 
-def _closed_interval_solutions(m, k, sign):
-    """The slow reference: one Fraction root per piece of f^k on the closed
-    [lo, hi], deduplicated by a set, then sorted."""
-    sols = set()
-    for p in m.iterate_pieces(k):
-        if p.slope == sign:
-            if p.intercept == 0:
-                raise InfiniteSolutions(F(p.lo), F(p.hi), k, sign)
-        else:
-            x = F(p.intercept, sign - p.slope)
-            if p.lo <= x <= p.hi:
-                sols.add(x)
-    return sorted(sols)
-
-
-@given(m=st.one_of(INTEGER_MAPS, RATIONAL_MAPS), k=st.integers(1, 6), sign=st.sampled_from([1, -1]))
-# a root on the non-integer cut 1/2 shared by two laps, a root at the
-# domain's upper end (the last piece's closed end), one at its lower end
-@example(m=PLMap([(0, F(3, 4)), (F(1, 2), F(1, 2)), (1, 0)]), k=1, sign=1)
-@example(m=PLMap([(0, 1), (1, 0), (2, 2)]), k=1, sign=1)
-@example(m=PLMap([(0, 0), (1, 2), (2, 1)]), k=1, sign=1)
-@settings(max_examples=80, deadline=None)
-def test_solution_sets_match_the_closed_interval_reference(m, k, sign):
-    lo, hi = m.domain
-    sign = sign if lo <= 0 <= hi else 1
-    try:
-        want = _closed_interval_solutions(m, k, sign)
-    except InfiniteSolutions as exc:
-        want = (exc.witness, exc.k, exc.sign)
-    for method in ("pieces", "markov"):
-        try:
-            points = m.solution_set(k, sign=sign, method=method)
-            count = m.count_solutions(k, sign=sign, method=method)
-        except NotMarkovError:
-            continue
-        except InfiniteSolutions as exc:
-            assert (exc.witness, exc.k, exc.sign) == want, (method, m, k, sign)
-            continue
-        assert list(points) == want, (method, m, k, sign)
-        assert all(a < b for a, b in zip(points, points[1:])), (method, points)
-        assert count == len(points), (method, m, k, sign)
-
-
 def test_solve_builds_a_fraction_only_per_returned_point(monkeypatch):
     # with the pieces of f^k built, both engines decide, count and order the
     # roots in integers: a count builds no Fraction, a solution set one per point
@@ -505,38 +440,9 @@ def test_solve_builds_a_fraction_only_per_returned_point(monkeypatch):
 # -- engine agreement ---------------------------------------------------------
 
 ALL_SMALL_MAPS = [
-    make_base_map(),
-    make_gn(1),
-    make_gn(2),
-    make_gn(3),
-    make_fmn(2, 4),
-    make_fmn(2, 5),
-    make_fmn(3, 5),
-    make_hjmn(3, 2, 2),
-    make_hjmn(4, 4, 2),
-    make_hjmn(2, 5, 2),
-    make_pn(2),
-    make_pn(3),
+    make_base_map(), make_gn(1), make_gn(2), make_gn(3), make_fmn(2, 4), make_fmn(2, 5), make_fmn(3, 5),
+    make_hjmn(3, 2, 2), make_hjmn(4, 4, 2), make_hjmn(2, 5, 2), make_pn(2), make_pn(3),
 ]
-
-
-def assert_engines_agree(m, k, sign):
-    """Both engines give the same count and solution set of f^k(x) = sign*x,
-    or both raise InfiniteSolutions with the same witness, k and sign.
-    Returns the solution points, none when the engines raised."""
-    try:
-        a = m.count_solutions(k, sign=sign, method="pieces")
-    except InfiniteSolutions as e:
-        for solve in (m.count_solutions, m.solution_set):
-            with pytest.raises(InfiniteSolutions) as info:
-                solve(k, sign=sign, method="markov")
-            got = info.value
-            assert (got.witness, got.k, got.sign) == (e.witness, e.k, e.sign), (m, k, sign)
-        return ()
-    assert a == m.count_solutions(k, sign=sign, method="markov"), (m, k, sign)
-    pts = m.solution_set(k, sign=sign, method="markov").points
-    assert m.solution_set(k, sign=sign, method="pieces").points == pts, (m, k, sign)
-    return pts
 
 
 def test_markov_engine_equals_pieces_engine():
@@ -544,7 +450,8 @@ def test_markov_engine_equals_pieces_engine():
     for m in ALL_SMALL_MAPS:
         for k in range(1, 6):
             for sign in (1, -1) if m.domain[0] < 0 else (1,):
-                assert_engines_agree(m, k, sign)
+                for solve in (m.count_solutions, m.solution_set):
+                    assert outcome(solve, k, sign, "pieces") == outcome(solve, k, sign, "markov"), (m, k, sign)
 
 
 def test_markov_engine_rejects_non_markov():
@@ -558,31 +465,6 @@ def test_markov_engine_rejects_non_markov():
     with pytest.raises(NotMarkovError):
         flat.count_solutions(4, method="markov")
     assert flat.count_solutions(4) == 2
-
-
-@given(st.data())
-@settings(max_examples=80, deadline=None)
-def test_markov_engine_equals_pieces_engine_random_maps(data):
-    lo = data.draw(st.integers(-4, 2))
-    n = data.draw(st.integers(2, 5))
-    hi = lo + n
-    vals = data.draw(
-        st.lists(st.integers(lo, hi), min_size=n + 1, max_size=n + 1).filter(
-            lambda vs: all(a != b for a, b in zip(vs, vs[1:]))
-        )
-    )
-    # dropping an interior anchor whose neighbours are collinear with it keeps
-    # the map but removes a cut the pieces engine makes
-    drop = data.draw(st.lists(st.booleans(), min_size=n + 1, max_size=n + 1))
-    keep = [
-        i for i in range(n + 1)
-        if not (0 < i < n and drop[i] and vals[i] - vals[i - 1] == vals[i + 1] - vals[i])
-    ]
-    m = PLMap([(lo + i, vals[i]) for i in keep])
-    k = data.draw(st.integers(1, 5))
-    sign = data.draw(st.sampled_from([1, -1])) if lo <= 0 <= hi else 1
-    for x in assert_engines_agree(m, k, sign):
-        assert iterate(m, x, k) == sign * x
 
 
 def test_markov_witness_spans_the_pieces_engine_piece():
@@ -618,29 +500,11 @@ def test_markov_engine_is_thread_safe():
         (lambda: make_hjmn(3, 4, 3), markov),
         (lambda: PLMap([(0, F(1, 4)), (F(1, 2), 1), (F(2, 3), 0), (1, F(1, 2))]), pieces),
     ]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for make, solve in inputs:
-            serial = solve(make())
-            for _ in range(5):
-                m = make()
-                barrier = threading.Barrier(4, timeout=30)
-                got = [None] * 4
-
-                def work(i):
-                    barrier.wait()
-                    got[i] = solve(m)
-
-                threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join(timeout=60)
-                assert not any(t.is_alive() for t in threads)
-                assert got == [serial] * 4
-    finally:
-        sys.setswitchinterval(interval)
+    for make, solve in inputs:
+        serial = solve(make())
+        for _ in range(5):
+            m = make()
+            assert in_threads(lambda: solve(m)) == [serial] * 4
 
 
 def test_markov_count_keeps_one_matrix_power():
@@ -670,10 +534,24 @@ def test_markov_counts_by_squaring_match_a_resumed_sequence_and_the_spec(make, s
         assert make().count_solutions(k, sign=sign, method="markov") == want[k - 1], k
 
 
-def test_matrix_powers_square(monkeypatch):
-    products = []
-    mat_mul = exactnum._mat_mul
-    monkeypatch.setattr(exactnum, "_mat_mul", lambda a, b: products.append(1) or mat_mul(a, b))
+def _nonzeros(matrix):
+    return sum(len(row) - row.count(0) for row in matrix)
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """The nonzeros of the left and the right factor of each matrix product."""
+    taken, mat_mul = [], exactnum._mat_mul
+
+    def counted(a, b):
+        taken.append((_nonzeros(a), _nonzeros(b)))
+        return mat_mul(a, b)
+
+    monkeypatch.setattr(exactnum, "_mat_mul", counted)
+    return taken
+
+
+def test_matrix_powers_square(products):
     m = make_hjmn(3, 4, 3)
     md = m._markov_data()
     A8 = m._matrix_power(md, 8)
@@ -681,7 +559,7 @@ def test_matrix_powers_square(monkeypatch):
     A = md.A
     want = A
     for _ in range(7):
-        want = mat_mul(want, A)
+        want = exactnum._mat_mul(want, A)
     assert A8 == want
     # resumed from the memo: A^13 = A^8 * A * A^4, two squarings and two products
     products.clear()
@@ -693,19 +571,7 @@ def test_matrix_powers_square(monkeypatch):
     assert len(products) == 19
 
 
-def _nonzeros(matrix):
-    return sum(len(row) - row.count(0) for row in matrix)
-
-
-def test_markov_counts_take_one_product_fewer_than_squaring(monkeypatch):
-    products = []
-    mat_mul = exactnum._mat_mul
-
-    def counted(a, b):
-        products.append((_nonzeros(a), _nonzeros(b)))
-        return mat_mul(a, b)
-
-    monkeypatch.setattr(exactnum, "_mat_mul", counted)
+def test_markov_counts_take_one_product_fewer_than_squaring(products):
     want = seq_c(3, 4, 3, 40)
     for k in range(1, 41):
         products.clear()
@@ -735,53 +601,6 @@ def test_markov_counts_take_one_product_fewer_than_squaring(monkeypatch):
     assert products == []
     assert m.count_solutions(11, method="markov") == want[10]
     assert len(products) == 4  # A^2, A^4, A * A^4 and A * A^5, against 5 by squaring
-
-
-def _markov_outcomes(m, k, sign):
-    """The markov count of f^k(x) = sign*x on a fresh map, after k - 1 and
-    after 2k, or the InfiniteSolutions each raises."""
-    fresh = _outcome(PLMap(m.anchors).count_solutions, k, sign, "markov")
-    after = []
-    for first in (k - 1, 2 * k):
-        resumed = PLMap(m.anchors)
-        if first:
-            _outcome(resumed.count_solutions, first, sign, "markov")
-        after.append(_outcome(resumed.count_solutions, k, sign, "markov"))
-    return fresh, *after
-
-
-@given(m=INTEGER_MAPS, sign=st.sampled_from([1, -1]), data=st.data())
-@settings(max_examples=60, deadline=None)
-def test_markov_count_from_the_halves_or_resumed_equals_pieces(m, sign, data):
-    # up to k = 8 where laps^k stays within 3^8, so the pieces stay few
-    sign = sign if m.domain[0] <= 0 <= m.domain[1] else 1
-    laps = len(m._lap_tuple())
-    k = data.draw(st.integers(1, max(k for k in range(1, 9) if laps**k <= 3**8)))
-    want = _outcome(PLMap(m.anchors).count_solutions, k, sign, "pieces")
-    assert _markov_outcomes(m, k, sign) == (want, want, want), (m, k, sign)
-
-
-def _outcome(solve, k, sign, method):
-    try:
-        return solve(k, sign=sign, method=method)
-    except InfiniteSolutions as e:
-        return e.witness, e.k, e.sign
-
-
-@given(m=INTEGER_MAPS, sign=st.sampled_from([1, -1]))
-@settings(max_examples=40, deadline=None)
-def test_auto_equals_both_engines_across_its_switch(m, sign):
-    # on a map anchored at every integer, laps = n and auto moves from
-    # pieces to markov at k = 2, where laps^k first reaches n^2, for both
-    # counting and enumeration
-    sign = sign if m.domain[0] <= 0 <= m.domain[1] else 1
-    for k in range(1, 7):
-        for solve in ("count_solutions", "solution_set"):
-            got = {
-                method: _outcome(getattr(PLMap(m.anchors), solve), k, sign, method)
-                for method in ("auto", "pieces", "markov")
-            }
-            assert got["auto"] == got["pieces"] == got["markov"], (m, k, sign, solve)
 
 
 def test_auto_counts_on_markov_once_laps_to_the_k_exceed_n_squared():
@@ -912,7 +731,7 @@ def test_markov_engine_asymmetric_domain_sign_minus():
     asym = PLMap([(-1, 3), (0, -1), (1, 2), (2, 0), (3, 1)])
     for k in range(1, 6):
         for sign in (1, -1):
-            assert_engines_agree(asym, k, sign)
+            check_engines(asym, k, sign)
 
 
 # -- transition matrix ---------------------------------------------------------
@@ -925,22 +744,13 @@ def test_transition_matrix_examples():
     assert tent.transition_matrix() == [[1, 1], [1, 1]]
 
 
-@given(st.data())
+@given(m=integer_maps(flat=True, drop_collinear=True, widths=(1, 6)))
 @settings(max_examples=80, deadline=None)
-def test_transition_matrix_matches_the_min_max_definition(data):
-    # integer maps, flat laps included, some anchors dropped where collinear
-    lo = data.draw(st.integers(-4, 2))
-    n = data.draw(st.integers(1, 6))
-    vals = data.draw(st.lists(st.integers(lo, lo + n), min_size=n + 1, max_size=n + 1))
-    drop = data.draw(st.lists(st.booleans(), min_size=n + 1, max_size=n + 1))
-    keep = [
-        i for i in range(n + 1)
-        if not (0 < i < n and drop[i] and vals[i] - vals[i - 1] == vals[i + 1] - vals[i])
-    ]
-    m = PLMap([(lo + i, vals[i]) for i in keep])
+def test_transition_matrix_matches_the_min_max_definition(m):
+    lo, hi = map(int, m.domain)
     want = [
-        [1 if min(m(p), m(p + 1)) <= q < max(m(p), m(p + 1)) else 0 for q in range(lo, lo + n)]
-        for p in range(lo, lo + n)
+        [1 if min(m(p), m(p + 1)) <= q < max(m(p), m(p + 1)) else 0 for q in range(lo, hi)]
+        for p in range(lo, hi)
     ]
     assert m.transition_matrix() == want, m
 
@@ -961,14 +771,9 @@ def test_sparse_anchor_maps_are_markov():
     assert make_gn(4).transition_matrix()
 
 
-@given(st.data())
+@given(m=half_integer_maps())
 @settings(max_examples=150, deadline=None)
-def test_markov_data_read_off_the_laps_matches_the_integers(data):
-    # anchors on a half-integer grid; scale 2 puts them on the integers
-    scale = data.draw(st.sampled_from([1, 2]))
-    xs = sorted(data.draw(st.sets(st.integers(-6, 6), min_size=2, max_size=5)))
-    ys = data.draw(st.lists(st.integers(xs[0], xs[-1]), min_size=len(xs), max_size=len(xs)))
-    m = PLMap([(F(scale * x, 2), F(scale * y, 2)) for x, y in zip(xs, ys)])
+def test_markov_data_read_off_the_laps_matches_the_integers(m):
     md = m._markov_data()
     # the slow oracle: every anchor x an integer and f integral at every integer
     lo, hi = m.domain
