@@ -218,6 +218,14 @@ def test_verify_family_s_defaults_to_phi2(capsys):
     assert code == 0
 
 
+def test_verify_family_s_phi1_is_a_family_target(capsys):
+    code, out, _ = run(capsys, "verify", "--family", "s", "--n", "2", "--K", "10", "--operator", "phi1")
+    record = json.loads(out)
+    assert (record["target"], record["operator"]) == ("family:s", "phi1")
+    assert record["oracle_check"]["pass"] is True
+    assert code == 0
+
+
 def test_verify_family_d_uses_gf_oracle(capsys):
     code, out, _ = run(capsys, "verify", "--family", "d", "--m", "1", "--n", "2", "--K", "60")
     record = json.loads(out)
@@ -313,18 +321,28 @@ def test_verify_empty_range_is_a_usage_error(capsys):
 def test_verify_family_s_phi1_runs_the_family_path(capsys):
     # the pn(n) oracle at sign -1, then the sieved phi1 sweep, as on every family
     argv = ["verify", "--family", "s", "--n", "2", "--K", "30", "--operator", "phi1"]
-    code, out, _ = run(capsys, *argv, "--oracle-depth", "4")
+    code, out, _ = run(capsys, *argv)
     assert code == 0
     record = json.loads(out)
     assert list(record) == ["command", "target", "params", "operator", "K", "oracle_check", "rows", "summary"]
     assert (record["target"], record["params"], record["operator"], record["K"]) == ("family:s", {"n": 2}, "phi1", 30)
-    assert record["oracle_check"] == {"kind": "map", "depth": 4, "pass": True, "first_mismatch": None}
+    assert record["oracle_check"] == {"kind": "map", "depth": 8, "pass": True, "first_mismatch": None}
     assert [r["k"] for r in record["rows"]] == list(range(1, 31))
     assert record["summary"]["all_pass"] is True
     code, out, _ = run(capsys, *argv, "--format", "csv")
     lines = out.splitlines()
     assert code == 0 and len(lines) == 31
     assert lines[:2] == ["k,term,operator,value,modulus,quotient,pass", "1,1,phi1,1,1,1,true"]
+
+
+def test_verify_family_s_phi1_takes_oracle_depth(capsys):
+    argv = ["verify", "--family", "s", "--n", "2", "--K", "5", "--operator", "phi1", "--oracle-depth"]
+    code, out, _ = run(capsys, *argv, "4")
+    assert code == 0
+    assert json.loads(out)["oracle_check"] == {"kind": "map", "depth": 4, "pass": True, "first_mismatch": None}
+    code, out, err = run(capsys, *argv, "0")
+    assert (code, out) == (2, "")
+    assert "--oracle-depth must be >= 1" in err
 
 
 # -- one parameter rule for every mode --------------------------------------------
