@@ -181,13 +181,13 @@ class CensusCount(NamedTuple):
 def _least_period_count(pl_map: PLMap, m: int, sign: int, primes: Iterable[int], lower: set) -> int:
     """|S_m| less |lower ∪ S_(m/p) for p in primes|, where S_k is the exact
     solution set of f^k(x) = sign*x and ``lower`` (updated in place) and each
-    S_(m/p) lie in S_m.  The union is keyed by the points' (numerator,
-    denominator) pairs, which name a rational uniquely in lowest terms and
-    hash as two ints, where a Fraction's hash takes a modular inverse."""
+    S_(m/p) lie in S_m.  The union is keyed by the lowest-terms (numerator,
+    denominator) pairs each solution set keeps, which name a rational
+    uniquely and hash as two ints, so no Fraction is built."""
     # count first, so that a degenerate f^m raises InfiniteSolutions at k = m
     total = pl_map.count_solutions(m, sign=sign)
     for p in primes:
-        lower.update((q.numerator, q.denominator) for q in pl_map.solution_set(m // p, sign=sign))
+        lower.update(pl_map.solution_set(m // p, sign=sign)._pairs)
     return total - len(lower)
 
 

@@ -15,50 +15,37 @@ Counting runs on one of two interchangeable engines:
   Markov over the unit-interval partition.  Diagonal crossings then biject
   with closed walks of the transition graph, except that an integer solution
   counts once in place of the closed walks continuing its one-sided
-  neighbourhoods, exactly one walk per side.
-  This engine needs time polynomial in k.  A count reads only n entries
-  of A^k, in one of two ways.  When the last matrix power A^j kept has
-  k/2 <= j <= k, it resumes A^k from it by repeated squaring of A, so a
-  ``count_sequence`` takes one product per k.  Otherwise each entry is the
-  dot product of a row of A^(k//2) with a column of A^(k - k//2): one
-  product fewer than squaring up to A^k, and none at k = 2.  Powers of A
-  commute, and a product skips the zeros of its left factor only, so every
-  product takes the lower power on the left.
+  neighbourhoods, exactly one walk per side.  This engine needs time
+  polynomial in k: a count reads n entries of A^k (``_markov_count``).
 
 Both engines are exact and agree wherever both apply (the test suite checks
-them against each other).  ``method="auto"`` picks by size.  A composition
+them against each other).  ``method="auto"`` picks by size: a composition
 step splits a piece into at most one piece per lap, so f^k has at most
-laps^k pieces, against the n^2 cells of the n x n unit-partition matrix A.
-Measured, a piece costs more than a cell of a product, so ``auto`` runs
-``markov`` when the map is eligible (int fields and a nonzero slope on every
-lap, read off the laps, so no matrix is built to decide), when its matrix
-fits the piece budget (n^2 <= ``max_pieces``) and from a flip point on;
-otherwise it runs ``pieces``.  A count flips at the least k with
-laps^k >= n^2: on a map with one lap per unit interval that is k = 2, where
-f^2 and A have the same n^2 bound and the count reads A's entries with no
-product.  An enumeration walks one word per unit-interval cylinder, up to
-n/laps of them per piece of f^k, so it flips there too when each lap is one
-unit interval (laps = n), and otherwise stays on ``pieces``.  The
-eligibility and the flip points are read once per map, with the laps.
+laps^k pieces, against the n^2 cells of the n x n unit-partition matrix A,
+and a piece costs more than a cell of a product.  So ``auto`` runs
+``markov`` on an eligible map whose matrix fits the piece budget, from a
+flip point on (``_engine_rule``), and ``pieces`` otherwise.
 
 No float enters.  The anchors and the pieces hold every exact number as an
 int where it is integral and as a Fraction otherwise, so an integer map finds
 its laps and composes its pieces in int and only the cuts between integers
 are Fractions.  Solution points, ``InfiniteSolutions`` witnesses,
-``domain``, ``anchors`` and values of the map are always Fractions.
-``anchors``, and ``domain`` from it, are built on first read, so setting up
-an integer map builds no Fraction.
+``domain``, ``anchors`` and values of the map are always Fractions; the
+points and ``anchors``, and ``domain`` from it, are built on first read.
 
-Both engines decide, count and order the solutions in integer arithmetic and
-build a Fraction only for a point they return.  A piece of f^k owns the
-solutions on [lo, hi), the last one on [lo, hi]; the ``markov`` engine walks
-its words in x order.  Either way the points come out ascending, unsorted.
+Both engines decide, count, order and reduce the solutions in integer
+arithmetic, as lowest-terms pairs (N, D).  A ``SolutionSet`` keeps the pairs,
+which the census reads, and builds a Fraction only for a point read.  A
+piece of f^k owns the solutions on [lo, hi), the last one on [lo, hi]; the
+``markov`` engine walks its words in x order.  Either way the points come
+out ascending, unsorted.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from math import gcd
 from operator import mul
 from typing import NamedTuple
 
@@ -173,24 +160,54 @@ def _narrowed_piece(lo, hi, slope, intercept) -> AffinePiece:
     return AffinePiece(lo, hi, _narrow(slope), _narrow(intercept))
 
 
-class SolutionSet(tuple):
-    """Exact solution set of f^k(x) = sign*x: a tuple of its points in
-    ascending order, also read as ``points``.  An equation that holds on a
-    whole interval raises InfiniteSolutions instead."""
+class SolutionSet:
+    """Exact solution set of f^k(x) = sign*x: its points in ascending order,
+    a sequence that equals, and hashes like, the tuple of them, also read as
+    ``points``.  It keeps the roots as the lowest-terms int pairs (N, D),
+    D > 0, that the engines return and the census reads, and builds the
+    Fractions on the first read of the points (``points``, iteration,
+    indexing or ``in``), as ``PLMap.anchors`` are.  An equation that holds
+    on a whole interval raises InfiniteSolutions instead."""
 
-    __slots__ = ()
+    __slots__ = ("_pairs", "_points")
 
-    def __new__(cls, points):
-        # names the argument: tuple.__new__ takes no keyword, and the record
-        # is built as SolutionSet(points=...)
-        return super().__new__(cls, points)
+    def __init__(self, points=(), _pairs=None):
+        if _pairs is None:
+            _pairs = tuple((q.numerator, q.denominator) for q in map(_exact, points))
+        object.__setattr__(self, "_pairs", _pairs)
+        object.__setattr__(self, "_points", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SolutionSet is immutable")
+
+    def __reduce__(self):
+        # rebuilt from its points, so pickle and copy need no __setattr__
+        return (SolutionSet, (self.points,))
 
     @property
     def points(self) -> tuple[Fraction, ...]:
-        return tuple(self)
+        if self._points is None:
+            object.__setattr__(self, "_points", tuple(Fraction(N, D) for N, D in self._pairs))
+        return self._points
+
+    def __len__(self) -> int:
+        return len(self._pairs)
+
+    def __iter__(self):
+        # ``in`` falls back on iteration
+        return iter(self.points)
+
+    def __getitem__(self, i):
+        return self.points[i]
+
+    def __eq__(self, other) -> bool:
+        return self.points == other
+
+    def __hash__(self):
+        return hash(self.points)
 
     def __repr__(self) -> str:
-        return f"SolutionSet(points={tuple(self)!r})"
+        return f"SolutionSet(points={self.points!r})"
 
 
 class _MarkovData(NamedTuple):
@@ -249,12 +266,8 @@ class PLMap:
             raise ValueError(f"anchor values leave [{lo}, {hi}]; not a self-map")
         object.__setattr__(self, "_xs", xs)
         object.__setattr__(self, "_ys", ys)
-        object.__setattr__(self, "_anchors", None)
-        object.__setattr__(self, "_rule", None)
-        object.__setattr__(self, "_laps", None)
-        object.__setattr__(self, "_markov", None)
-        object.__setattr__(self, "_iterate", None)
-        object.__setattr__(self, "_power", None)
+        for memo in PLMap.__slots__[2:]:  # the memos, empty until first read
+            object.__setattr__(self, memo, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PLMap is immutable")
@@ -452,26 +465,23 @@ class PLMap:
                     "with nonzero slope on every unit interval"
                 )
             return "markov"
-        # from count_flip on f^k can have as many pieces as A has cells, and
-        # the matrix count beats the pieces build; enumeration walks one word
-        # per unit-interval cylinder, so it flips only where each lap is one
-        # unit interval
         flip = count_flip if count else enumerate_flip
         n = self._xs[-1] - self._xs[0]
         if flip is not None and k >= flip and n * n <= max_pieces:
             return "markov"
         return "pieces"
 
-    def _pieces_solve(self, k: int, sign: int, max_pieces: int, count: bool) -> int | list[Fraction]:
-        """The roots of f^k(x) = sign*x in ascending order, or their number.
+    def _pieces_solve(self, k: int, sign: int, max_pieces: int, count: bool) -> int | list[tuple[int, int]]:
+        """The roots of f^k(x) = sign*x in ascending order, as lowest-terms
+        pairs (N, D), or their number.
 
         Each piece owns the roots on [lo, hi), the last one on [lo, hi], so
         a root on a shared end is taken once, by the piece that starts
         there: f^k is continuous, so that piece has the same root, or slope
         sign and intercept 0, which raises InfiniteSolutions.  A root N/D,
         D > 0, is placed by cross-multiplying with the numerators and
-        denominators of the ends, which ints and Fractions both carry, so
-        only a returned point becomes a Fraction."""
+        denominators of the ends, which ints and Fractions both carry, and
+        reduced by one gcd: no Fraction is built."""
         pieces = self.iterate_pieces(k, max_pieces)
         last = pieces[-1]
         roots = []
@@ -490,7 +500,7 @@ class PLMap:
                 above = N * hi.denominator - hi.numerator * D
                 if above < 0 or (above == 0 and p is last):
                     roots.append((N, D))
-        return len(roots) if count else [Fraction(N, D) for N, D in roots]
+        return len(roots) if count else [(N // g, D // g) for N, D in roots for g in (gcd(N, D),)]
 
     def _int_solutions(self, md: _MarkovData, k: int, sign: int) -> tuple[list[int], int]:
         """The integer solutions p of f^k(p) = sign*p, and the number of closed
@@ -547,9 +557,11 @@ class PLMap:
     def _markov_count(self, md: _MarkovData, k: int, sign: int) -> int:
         """The number of solutions: the entries of A^k that pair each unit
         interval with its target, less the integer-point correction; read
-        off A^k resumed from the last power A^j, k/2 <= j <= k, or else as
-        dot products of rows of A^(k//2) with columns of A^(k - k//2), the
-        higher half kept as the last power."""
+        off A^k resumed from the last power A^j, k/2 <= j <= k, so a
+        ``count_sequence`` takes one product per k, or else as dot products
+        of rows of A^(k//2) with columns of A^(k - k//2), the higher half
+        kept as the last power: one product fewer than squaring up to A^k,
+        and none at k = 2."""
         ints, overlap = self._int_solutions(md, k, sign)
         pairs = [(j, t) for j in range(md.n) if (t := md.target(j, sign)) is not None]
         memo = self._power
@@ -563,54 +575,50 @@ class PLMap:
             total = sum(sum(map(mul, low[j], [row[t] for row in high])) for j, t in pairs)
         return total - overlap + len(ints)
 
-    def _markov_enumerate(self, md: _MarkovData, k: int, sign: int, max_pieces: int) -> list[Fraction]:
-        """The solutions in ascending order, from a walk of every admissible
-        word; each length-k word is one piece of f^k, so the words count
-        against the same budget as the pieces engine.
+    def _markov_enumerate(self, md: _MarkovData, k: int, sign: int, max_pieces: int) -> list[tuple[int, int]]:
+        """The solutions in ascending order, as lowest-terms pairs (N, D),
+        from every admissible word: each length-k word is one piece of f^k,
+        so the words count against the pieces engine's budget.
 
-        The walk visits the words in x order: the cylinder of a word maps
-        onto its last unit interval by an affine f^d, so a node whose
-        composite slope is positive takes its next letter ascending, and a
-        negative one descending.  A non-integer root lies inside its
-        cylinder, since if some f^i(x), 0 < i < k, were an integer, sign*x
-        would be one too; so these roots come out distinct and ascending,
-        and merge with the ascending integer solutions as two sorted runs.
+        The walk builds the words one level (letter) at a time from the
+        empty ones, and checks each level's size, its parents' next letters
+        counted, before it builds it; the last letters go straight to the
+        roots.  A word holds the target g of its first letter, its next
+        letters js and its composite x -> s*x + t.  A level is in x order:
+        a cylinder maps onto its last unit interval by an affine f^d, so
+        js ascend (``up``) for s > 0 and descend (``down``) for s < 0.  A
+        non-integer root lies inside its cylinder, since if some f^i(x),
+        0 < i < k, were an integer, sign*x would be one too; so these roots
+        come out distinct and ascending, and each integer solution p goes in
+        among them by bisection on the floor N // D, below p iff N/D is.
         """
         ints = self._int_solutions(md, k, sign)[0]
-        A, slopes, intercepts, n = md.A, md.slopes, md.intercepts, md.n
-        succ = [[j2 for j2 in range(n) if row[j2]] for row in A]
-        sols: list[Fraction] = []
-        i = words = 0
-        for j0 in range(n):
-            target = md.target(j0, sign)
-            if target is None:
-                continue
-            # DFS over words (j0, ..., j_{k-1}) carrying the composite x -> s*x + t
-            stack = [(j0, slopes[j0], intercepts[j0], 1)]
-            while stack:
-                j, s, t, depth = stack.pop()
-                if depth == k:
-                    words += 1
-                    if words > max_pieces:
-                        raise PieceLimitError(max_pieces, k)
-                    # the integer-orbit walk of _int_solutions has raised if s == sign
-                    d = sign - s
-                    if A[j][target] and t % d:
-                        N, D = (t, d) if d > 0 else (-t, -d)
-                        while i < len(ints) and ints[i] * D < N:
-                            sols.append(Fraction(ints[i]))
-                            i += 1
-                        sols.append(Fraction(N, D))
-                    continue
-                # pushed so that the letter nearest the lower end pops first
-                for j2 in succ[j] if s < 0 else reversed(succ[j]):
-                    stack.append((j2, slopes[j2] * s, slopes[j2] * t + intercepts[j2], depth + 1))
-        sols += map(Fraction, ints[i:])
-        return sols
+        A, slopes, intercepts = md.A, md.slopes, md.intercepts
+        up = [[j for j, a in enumerate(row) if a] for row in A]
+        down = [u[::-1] for u in up]
+        level = [(g, [j], 1, 0) for j in range(md.n) if (g := md.target(j, sign)) is not None]
+        for depth in range(k):
+            if sum(len(word[1]) for word in level) > max_pieces:
+                raise PieceLimitError(max_pieces, k)
+            if depth < k - 1:
+                level = [
+                    (g, up[j] if s2 > 0 else down[j], s2, slopes[j] * t + intercepts[j])
+                    for g, js, s, t in level
+                    for j in js
+                    for s2 in (slopes[j] * s,)
+                ]
+        # d != 0: the integer-orbit walk of _int_solutions raised on a word of slope sign
+        leaves = [(slopes[j] * t + intercepts[j], sign - slopes[j] * s)
+                  for g, js, s, t in level for j in js if A[j][g]]
+        roots = [(t // c, d // c) for t, d in leaves if t % d for c in (gcd(t, d) if d > 0 else -gcd(t, d),)]
+        for p in reversed(ints):
+            roots.insert(bisect_left(roots, p, key=lambda r: r[0] // r[1]), (p, 1))
+        return roots
 
-    def _solve(self, k: int, sign: int, method: str, max_pieces: int, count: bool) -> int | list[Fraction]:
+    def _solve(self, k: int, sign: int, method: str, max_pieces: int, count: bool) -> int | list[tuple[int, int]]:
         """Validate the query, pick the engine, and return the number of
-        solutions (``count``) or the ascending list of them."""
+        solutions (``count``) or the ascending list of their lowest-terms
+        pairs (N, D)."""
         k = _at_least("k", k, 1)
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
@@ -631,15 +639,11 @@ class PLMap:
         method: str = "auto",
         max_pieces: int = DEFAULT_MAX_PIECES,
     ) -> int:
-        """Number of distinct x in the domain with f^k(x) = sign*x.
-
-        On the ``pieces`` engine each piece of f^k owns the solutions on
-        [lo, hi), the last one on [lo, hi], so a solution on a shared piece
-        end is counted once; no solution point is built.  Raises
-        InfiniteSolutions (with a witness interval) when the equation holds
-        identically on a piece, and PieceLimitError when the ``pieces``
-        engine would exceed ``max_pieces``.
-        """
+        """Number of distinct x in the domain with f^k(x) = sign*x; no
+        solution point is built.  Raises InfiniteSolutions (with a witness
+        interval) when the equation holds identically on a piece, and
+        PieceLimitError when the ``pieces`` engine would exceed
+        ``max_pieces``."""
         return self._solve(k, sign, method, max_pieces, count=True)
 
     def solution_set(
@@ -649,15 +653,11 @@ class PLMap:
         method: str = "auto",
         max_pieces: int = DEFAULT_MAX_PIECES,
     ) -> SolutionSet:
-        """The exact solution set of f^k(x) = sign*x, in ascending order.
-
-        The ``pieces`` engine yields the points in order by the half-open
-        rule of ``count_solutions``, the ``markov`` engine by walking its
-        words in x order; nothing is sorted.  Raises PieceLimitError when
-        more than ``max_pieces`` pieces (or, on the ``markov`` engine,
-        transition words) would be walked.
-        """
-        return SolutionSet(self._solve(k, sign, method, max_pieces, count=False))
+        """The exact solution set of f^k(x) = sign*x, in ascending order
+        and unsorted (see the module docstring).  Raises PieceLimitError
+        when more than ``max_pieces`` pieces (or, on the ``markov`` engine,
+        transition words) would be walked."""
+        return SolutionSet(_pairs=tuple(self._solve(k, sign, method, max_pieces, count=False)))
 
     def count_sequence(
         self,

@@ -15,6 +15,7 @@ from __future__ import annotations
 import sys
 import threading
 from fractions import Fraction
+from math import gcd
 from typing import Callable, NamedTuple
 
 import pytest
@@ -260,7 +261,17 @@ def check_engines(m, k, sign):
         if type(want) is tuple:
             assert points == count == want, (method, m, k, sign)
         else:
+            check_pairs(points)
             assert list(points) == want and count == len(want), (method, m, k, sign)
+
+
+def check_pairs(solutions):
+    # the int pairs a solution set keeps, which the census unions, are in
+    # lowest terms with D > 0, strictly ascending, and name its points
+    pairs = solutions._pairs
+    assert all(D > 0 and gcd(N, D) == 1 for N, D in pairs), pairs
+    assert all(a * d < c * b for (a, b), (c, d) in zip(pairs, pairs[1:])), pairs
+    assert pairs == tuple((q.numerator, q.denominator) for q in solutions.points), pairs
 
 
 def check_markov_resumed(m, sign, k):

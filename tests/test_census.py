@@ -6,7 +6,7 @@ from math import isqrt, prod
 
 from hypothesis import example, given, settings, strategies as st
 
-from plcensus import census
+from plcensus import census, plmap
 from plcensus.census import (
     QRSFinding,
     explore_qrs,
@@ -383,6 +383,20 @@ def test_symmetric_census_unions_the_origin_with_overlapping_solution_sets(m, pr
     lower, overlap = _lower_union(mp, m, -1, primes, seed=[F(0)])
     assert overlap and F(0) in mp.solution_set(1, sign=-1)
     assert symmetric_census(mp, m).count == mp.count_solutions(m, sign=-1) - len(lower)
+
+
+def test_censuses_build_no_fraction_for_a_point(monkeypatch):
+    # the census unions the int pairs its solution sets keep: the periodic
+    # census builds no Fraction, and the symmetric one only the values of
+    # the map its oddness check reads, f(-x) = -y at each anchor (x, y)
+    hjmn, pn = make_hjmn(4, 3, 3), make_pn(3)
+    want = (periodic_census(PLMap(hjmn.anchors), 8), symmetric_census(PLMap(pn.anchors), 6))
+    built = []
+    monkeypatch.setattr(plmap, "Fraction", lambda *args: built.append(args) or F(*args))
+    assert periodic_census(hjmn, 8) == want[0]
+    assert built == []
+    assert symmetric_census(pn, 6) == want[1]
+    assert built == [(-y,) for y in pn._ys]
 
 
 def test_census_infinite_propagates():

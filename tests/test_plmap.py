@@ -18,6 +18,7 @@ from plcensus.plmap import (
     NotMarkovError,
     PieceLimitError,
     PLMap,
+    SolutionSet,
 )
 from plcensus.sequences import seq_b, seq_c, seq_s
 from harness import INTEGER_OR_RATIONAL_MAPS, check_engines, half_integer_maps, in_threads, integer_maps, iterate, outcome
@@ -88,6 +89,14 @@ def test_pickle_and_copy_rebuild_the_map(make):
     for twin in (pickle.loads(pickle.dumps(m)), copy.copy(m), copy.deepcopy(m)):
         assert type(twin) is PLMap and twin == m and hash(twin) == hash(m)
         assert twin.count_sequence(6) == want
+    # a solution set too, its points read or not yet built
+    for read in (False, True):
+        solutions = m.solution_set(3)
+        if read:
+            solutions.points
+        for twin in (pickle.loads(pickle.dumps(solutions)), copy.copy(solutions), copy.deepcopy(solutions)):
+            assert type(twin) is SolutionSet and twin == solutions and hash(twin) == hash(solutions)
+            assert twin._pairs == solutions._pairs and twin.points == solutions.points
 
 
 @pytest.mark.parametrize(
@@ -274,19 +283,51 @@ def test_piece_limit_guard():
         make_gn(1).solution_set(22, max_pieces=1000)
 
 
-def test_default_piece_budget_bounds_memory():
-    # at the larger measured peak per piece, an integer map's int pieces or
-    # a rational map's Fraction pieces, a build of the default budget's size
-    # stays under 512 MiB
-    per_piece = []
-    for m, k in ((make_gn(1), 18), (PLMap([(0, F(1, 4)), (F(1, 2), 1), (F(2, 3), 0), (1, F(1, 2))]), 9)):
-        tracemalloc.start()
+def _traced(work):
+    """What ``work()`` returns or raises, and its tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
         try:
-            size = len(m.iterate_pieces(k))
-            per_piece.append(tracemalloc.get_traced_memory()[1] / size)
-        finally:
-            tracemalloc.stop()
+            got = work()
+        except PieceLimitError as exc:
+            got = exc
+        return got, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_default_piece_budget_bounds_memory():
+    # at the largest measured peak per piece, an integer map's int pieces, a
+    # rational map's Fraction pieces or the markov walk's words (a solution
+    # set at its budget, one word per piece of f^k where laps = n), a build
+    # or a walk of the default budget's size stays under 512 MiB
+    per_piece = []
+    rational = PLMap([(0, F(1, 4)), (F(1, 2), 1), (F(2, 3), 0), (1, F(1, 2))])
+    for m, k in ((make_gn(1), 18), (rational, 9), (make_base_map(), 10)):
+        size, peak = _traced(lambda: len(m.iterate_pieces(k)))
+        per_piece.append(peak / size)
+        if m._markov_data():
+            walk = PLMap(m.anchors)
+            walk._markov_data()
+            solutions, peak = _traced(lambda: walk.solution_set(k, method="markov", max_pieces=size))
+            assert len(solutions) == m.count_solutions(k)
+            per_piece.append(peak / size)
     assert max(per_piece) * DEFAULT_MAX_PIECES <= 2**29
+
+
+def test_markov_walk_refuses_a_level_before_building_it():
+    # every unit interval of this 50-lap sawtooth maps onto the whole domain,
+    # so each level of the walk is 50 times the last: 50, 2500, 125,000 and
+    # 6,250,000 words.  With a budget of 3000, f^4's walk refuses the third
+    # level before it builds it, within the memory that budget allows
+    saw = PLMap([(x, 50 * (x % 2)) for x in range(51)])
+    saw._markov_data()
+    assert len(saw.solution_set(2, method="markov", max_pieces=2500)) == saw.count_solutions(2) > 0
+    with pytest.raises(PieceLimitError):
+        saw.solution_set(2, method="markov", max_pieces=2499)
+    refused, peak = _traced(lambda: saw.solution_set(4, method="markov", max_pieces=3000))
+    assert type(refused) is PieceLimitError and (refused.limit, refused.k) == (3000, 4)
+    assert peak <= 3000 * 2**29 / DEFAULT_MAX_PIECES, peak
 
 
 @pytest.mark.parametrize("m", [make_gn(1), make_gn(2), make_base_map()], ids=["g1", "g2", "base"])
@@ -421,8 +462,9 @@ def test_solutions_really_solve():
 
 
 def test_solve_builds_a_fraction_only_per_returned_point(monkeypatch):
-    # with the pieces of f^k built, both engines decide, count and order the
-    # roots in integers: a count builds no Fraction, a solution set one per point
+    # with the pieces of f^k built, both engines decide, count, order and
+    # reduce the roots in integers: a count and a solution set build no
+    # Fraction, the first read of the points one per point, a second read none
     cases = [(make_gn(1), 8, 1), (make_pn(2), 5, -1)]
     for m, k, _ in cases:
         m.iterate_pieces(k)
@@ -432,9 +474,13 @@ def test_solve_builds_a_fraction_only_per_returned_point(monkeypatch):
         for method in ("pieces", "markov"):
             built.clear()
             count = m.count_solutions(k, sign=sign, method=method)
-            assert built == [], method
-            points = m.solution_set(k, sign=sign, method=method)
-            assert len(built) == len(points) == count > 0, method
+            solutions = m.solution_set(k, sign=sign, method=method)
+            assert built == [] and len(solutions) == count > 0, method
+            points = solutions.points
+            assert built == list(solutions._pairs) and len(points) == count, method
+            assert solutions.points is points and list(solutions) == list(points), method
+            assert points[0] in solutions and solutions[-1] == points[-1], method
+            assert len(built) == count, method
 
 
 # -- engine agreement ---------------------------------------------------------

@@ -123,6 +123,19 @@ def test_solution_set_keeps_its_points_field():
     assert SolutionSet((F(1),)).points == (F(1),)
 
 
+def test_solution_set_is_the_tuple_of_its_points():
+    s, pts = make_gn(1).solution_set(2), (F(5, 3), F(7, 3), F(8, 3))
+    assert s == pts and pts == s and hash(s) == hash(pts) and s == SolutionSet(pts)
+    assert s != pts[:2] and s != list(pts) and s != SolutionSet(pts[1:])
+    assert (s[0], s[-1], s[1:], F(7, 3) in s, F(2) in s, list(s)) == (pts[0], pts[-1], pts[1:], True, False, list(pts))
+    assert SolutionSet((1, "7/3")) == (F(1), F(7, 3)) and SolutionSet(()) == ()
+    with pytest.raises(AttributeError):
+        s._pairs = ()
+    with pytest.raises(AttributeError):
+        s._points = pts
+    assert s._pairs == ((5, 3), (7, 3), (8, 3)) and s == pts
+
+
 def test_recurrence_spec_stores_tuples():
     spec = RecurrenceSpec([3, -1], [3, 7])
     assert type(spec.coefficients) is tuple and spec.coefficients == (3, -1)
