@@ -45,6 +45,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from operator import mul
 from typing import NamedTuple
@@ -169,13 +170,10 @@ class SolutionSet:
     indexing or ``in``), as ``PLMap.anchors`` are.  An equation that holds
     on a whole interval raises InfiniteSolutions instead."""
 
-    __slots__ = ("_pairs", "_points")
-
     def __init__(self, points=(), _pairs=None):
         if _pairs is None:
             _pairs = tuple((q.numerator, q.denominator) for q in map(_exact, points))
         object.__setattr__(self, "_pairs", _pairs)
-        object.__setattr__(self, "_points", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SolutionSet is immutable")
@@ -184,11 +182,9 @@ class SolutionSet:
         # rebuilt from its points, so pickle and copy need no __setattr__
         return (SolutionSet, (self.points,))
 
-    @property
+    @cached_property
     def points(self) -> tuple[Fraction, ...]:
-        if self._points is None:
-            object.__setattr__(self, "_points", tuple(Fraction(N, D) for N, D in self._pairs))
-        return self._points
+        return tuple(Fraction(N, D) for N, D in self._pairs)
 
     def __len__(self) -> int:
         return len(self._pairs)
@@ -213,13 +209,16 @@ class SolutionSet:
 class _MarkovData(NamedTuple):
     """Unit-partition view of an integer map: values at integers, and on the
     i-th unit interval [lo+i, lo+i+1] the lap x -> slopes[i]*x +
-    intercepts[i] and row i of the transition matrix A."""
+    intercepts[i], row i of the transition matrix A, and the range of
+    columns where that row is 1, ascending in up[i], descending in down[i]."""
 
     lo: int
     values: list[int]
     slopes: list[int]
     intercepts: list[int]
     A: list[list[int]]
+    up: list[range]
+    down: list[range]
 
     @property
     def n(self) -> int:
@@ -243,16 +242,18 @@ class PLMap:
     Instances are immutable; all operations are pure and safe to share
     across threads.  The anchors' x's and y's are kept narrowed, ints where
     integral, from construction on; equality, hashing and evaluation read
-    them there.  Every memo is an immutable value, built on first read, that
-    one assignment replaces whole: the public ``anchors`` as Fractions; the
-    laps, and with them ``auto``'s rule as ``(usable, count flip point,
-    enumerate flip point)``; the Markov data; the last iterate f^j built as
-    ``(j, pieces, values at the piece ends)``; and the last matrix power as
-    ``(j, A^j)``, which a later A^k, k/2 <= j <= k, resumes by squaring.  A
-    copy or a pickle is rebuilt from the anchors, with no memo.
+    them there.  What is derived from them once is a ``cached_property``:
+    the public ``anchors`` as Fractions, the laps, ``auto``'s rule read off
+    the laps, and the Markov data.  Two memos keep a last value that a later
+    call replaces whole: the iterate f^j built as ``(j, pieces, values at
+    the piece ends)``, and the matrix power ``(j, A^j)``, which a later A^k,
+    k/2 <= j <= k, resumes by squaring.  A first read of a cached property
+    takes a lock per property on Python 3.10 and 3.11, none from 3.12 on;
+    every value is deterministic, so a race at most builds one twice.  A
+    copy or a pickle is rebuilt from the anchors, with nothing cached.
     """
 
-    __slots__ = ("_xs", "_ys", "_anchors", "_rule", "_laps", "_markov", "_iterate", "_power")
+    _iterate = _power = None  # the two memos, empty until first set
 
     def __init__(self, anchors):
         pts = [(_exact(x), _exact(y)) for x, y in anchors]
@@ -266,8 +267,6 @@ class PLMap:
             raise ValueError(f"anchor values leave [{lo}, {hi}]; not a self-map")
         object.__setattr__(self, "_xs", xs)
         object.__setattr__(self, "_ys", ys)
-        for memo in PLMap.__slots__[2:]:  # the memos, empty until first read
-            object.__setattr__(self, memo, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PLMap is immutable")
@@ -287,13 +286,10 @@ class PLMap:
         pts = ", ".join(f"({x}, {y})" for x, y in zip(self._xs, self._ys))
         return f"PLMap([{pts}])"
 
-    @property
+    @cached_property
     def anchors(self) -> tuple[tuple[Fraction, Fraction], ...]:
         """The anchors as (x, y) pairs of Fractions, built on first read."""
-        if self._anchors is None:
-            pts = tuple((Fraction(x), Fraction(y)) for x, y in zip(self._xs, self._ys))
-            object.__setattr__(self, "_anchors", pts)
-        return self._anchors
+        return tuple((Fraction(x), Fraction(y)) for x, y in zip(self._xs, self._ys))
 
     @property
     def domain(self) -> tuple[Fraction, Fraction]:
@@ -311,24 +307,22 @@ class PLMap:
 
     # -- symbolic pieces ----------------------------------------------------
 
-    def _lap_tuple(self) -> tuple[AffinePiece, ...]:
+    @cached_property
+    def _laps(self) -> tuple[AffinePiece, ...]:
         """The laps of f, every field narrowed to an int where it is
         integral, from the anchor x's and y's narrowed alike in ``_xs`` and
         ``_ys``; an integer map's laps are found without a Fraction."""
-        if self._laps is None:
-            xs, ys = self._xs, self._ys
-            out = []
-            for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]):
-                s = _quotient(y1 - y0, x1 - x0)
-                out.append(AffinePiece(x0, x1, s, _narrow(y0 - s * x0)))
-            # the rule first: a reader that finds the laps finds it too
-            object.__setattr__(self, "_rule", _engine_rule(out))
-            object.__setattr__(self, "_laps", tuple(out))
-        return self._laps
+        xs, ys = self._xs, self._ys
+        slopes = [_quotient(y1 - y0, x1 - x0) for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:])]
+        return tuple(AffinePiece(x0, x1, s, _narrow(y0 - s * x0)) for x0, x1, y0, s in zip(xs, xs[1:], ys, slopes))
+
+    @cached_property
+    def _rule(self) -> tuple[bool, int | None, int | None]:
+        return _engine_rule(self._laps)  # (usable, count flip point, enumerate flip point)
 
     def _lap_at(self, v: int | Fraction) -> AffinePiece:
         """The lap holding v, the last one that starts at or below it."""
-        laps = self._lap_tuple()
+        laps = self._laps
         i = bisect_right(self._xs, v) - 1
         return laps[min(max(i, 0), len(laps) - 1)]
 
@@ -341,7 +335,7 @@ class PLMap:
         anchor x's, then compose lap by lap.  A cut at anchor x_i maps to
         y_i and an end of g to f of g's value there, so no end is evaluated.
         On an integer map all but the cuts between integers stay ints."""
-        laps, xs, ys = self._lap_tuple(), self._xs, self._ys
+        laps, xs, ys = self._laps, self._xs, self._ys
         out: list[AffinePiece] = []
         v = ends[0]
         out_ends = [self._lap_at(v)(v)]
@@ -383,8 +377,7 @@ class PLMap:
         if memo and memo[0] <= k:
             j, pieces, ends = memo
         else:
-            j, pieces = 1, self._lap_tuple()
-            ends = self._ys
+            j, pieces, ends = 1, self._laps, self._ys
         if len(pieces) > max_pieces:
             raise PieceLimitError(max_pieces, k)
         for _ in range(k - j):
@@ -394,27 +387,27 @@ class PLMap:
 
     # -- Markov structure ---------------------------------------------------
 
-    def _markov_data(self) -> _MarkovData | None:
-        if self._markov is None:
-            data: _MarkovData | bool = False
-            laps = self._lap_tuple()
-            # f sends integers to integers iff each lap has integer ends, slope and intercept
-            if all(type(v) is int for lap in laps for v in lap):
-                lo = laps[0].lo
-                slopes = [lap.slope for lap in laps for _ in range(lap.hi - lap.lo)]
-                intercepts = [lap.intercept for lap in laps for _ in range(lap.hi - lap.lo)]
-                values = [s * (lo + i) + t for i, (s, t) in enumerate(zip(slopes, intercepts))]
-                values.append(self._ys[-1])
-                # row i is 1 on the unit intervals the image of the i-th one covers
-                A = []
-                for u, v in zip(values, values[1:]):
-                    a, b = (u, v) if u <= v else (v, u)
-                    row = [0] * len(slopes)
-                    row[a - lo : b - lo] = [1] * (b - a)
-                    A.append(row)
-                data = _MarkovData(lo, values, slopes, intercepts, A)
-            object.__setattr__(self, "_markov", data)
-        return self._markov or None
+    @cached_property
+    def _markov(self) -> _MarkovData | None:
+        """The Markov data, None where f sends an integer off the integers."""
+        laps = self._laps
+        # f sends integers to integers iff each lap has integer ends, slope and intercept
+        if not all(type(v) is int for lap in laps for v in lap):
+            return None
+        lo = laps[0].lo
+        slopes = [lap.slope for lap in laps for _ in range(lap.hi - lap.lo)]
+        intercepts = [lap.intercept for lap in laps for _ in range(lap.hi - lap.lo)]
+        values = [s * (lo + i) + t for i, (s, t) in enumerate(zip(slopes, intercepts))]
+        values.append(self._ys[-1])
+        # row i is 1 on the unit intervals the image of the i-th one covers
+        A, up = [], []
+        for u, v in zip(values, values[1:]):
+            a, b = (u - lo, v - lo) if u <= v else (v - lo, u - lo)
+            row = [0] * len(slopes)
+            row[a:b] = [1] * (b - a)
+            A.append(row)
+            up.append(range(a, b))
+        return _MarkovData(lo, values, slopes, intercepts, A, up, [r[::-1] for r in up])
 
     def _matrix_power(self, md: _MarkovData, k: int) -> list[list[int]]:
         """A^k as A^j times A^(k-j), with A^j the last power when j <= k and
@@ -441,7 +434,7 @@ class PLMap:
         """0/1 matrix over unit intervals: entry (i, j) is 1 iff the image of
         the i-th unit interval contains the j-th.  Requires integer anchor
         x's and an integer slope and intercept on every lap."""
-        md = self._markov_data()
+        md = self._markov
         if md is None:
             raise NotMarkovError(
                 "transition matrix needs integer anchor x-coordinates and an "
@@ -456,7 +449,6 @@ class PLMap:
             raise ValueError("method must be 'auto', 'pieces', or 'markov'")
         if method == "pieces":
             return "pieces"
-        self._lap_tuple()
         usable, count_flip, enumerate_flip = self._rule
         if method == "markov":
             if not usable:
@@ -585,17 +577,15 @@ class PLMap:
         counted, before it builds it; the last letters go straight to the
         roots.  A word holds the target g of its first letter, its next
         letters js and its composite x -> s*x + t.  A level is in x order:
-        a cylinder maps onto its last unit interval by an affine f^d, so
-        js ascend (``up``) for s > 0 and descend (``down``) for s < 0.  A
+        a cylinder maps onto its last unit interval by an affine f^d, so js
+        ascend (``md.up``) for s > 0 and descend (``md.down``) for s < 0.  A
         non-integer root lies inside its cylinder, since if some f^i(x),
         0 < i < k, were an integer, sign*x would be one too; so these roots
         come out distinct and ascending, and each integer solution p goes in
         among them by bisection on the floor N // D, below p iff N/D is.
         """
         ints = self._int_solutions(md, k, sign)[0]
-        A, slopes, intercepts = md.A, md.slopes, md.intercepts
-        up = [[j for j, a in enumerate(row) if a] for row in A]
-        down = [u[::-1] for u in up]
+        A, slopes, intercepts, up, down = md.A, md.slopes, md.intercepts, md.up, md.down
         level = [(g, [j], 1, 0) for j in range(md.n) if (g := md.target(j, sign)) is not None]
         for depth in range(k):
             if sum(len(word[1]) for word in level) > max_pieces:
@@ -626,7 +616,7 @@ class PLMap:
         if sign == -1 and not (self._xs[0] <= 0 <= self._xs[-1]):
             raise DomainError("f^k(x) = -x needs 0 inside the domain")
         if self._resolve_method(k, method, max_pieces, count) == "markov":
-            md = self._markov_data()
+            md = self._markov
             if count:
                 return self._markov_count(md, k, sign)
             return self._markov_enumerate(md, k, sign, max_pieces)

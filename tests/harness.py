@@ -255,7 +255,7 @@ def check_engines(m, k, sign):
         try:
             points, count = (outcome(solve, k, sign, method) for solve in (m.solution_set, m.count_solutions))
         except NotMarkovError:
-            md = m._markov_data()  # markov refuses only the maps it does not apply to
+            md = m._markov  # markov refuses only the maps it does not apply to
             assert md is None or not all(md.slopes), m
             continue
         if type(want) is tuple:
@@ -379,7 +379,7 @@ def _resumable(maps):
     """(map, sign, k), k up to 8 where laps^k stays within 3^8, so the pieces stay few."""
 
     def cases(m, sign):
-        laps = len(m._lap_tuple())
+        laps = len(m._laps)
         return st.tuples(st.just(m), st.just(sign), st.integers(1, max(k for k in range(1, 9) if laps**k <= 3**8)))
 
     return st.tuples(maps, SIGNS).flatmap(lambda ms: cases(*ms))

@@ -67,7 +67,7 @@ def test_integer_map_setup_builds_only_the_anchor_fractions(monkeypatch):
     for make in (make_base_map, lambda: make_gn(2), lambda: make_hjmn(4, 3, 3), lambda: make_pn(3)):
         built.clear()
         m = make()
-        laps = m._lap_tuple()
+        laps = m._laps
         assert built == [], built
         assert all(type(v) is int for lap in laps for v in lap), laps
         anchors = m.anchors
@@ -88,6 +88,7 @@ def test_pickle_and_copy_rebuild_the_map(make):
     want = m.count_sequence(6)
     for twin in (pickle.loads(pickle.dumps(m)), copy.copy(m), copy.deepcopy(m)):
         assert type(twin) is PLMap and twin == m and hash(twin) == hash(m)
+        assert set(vars(twin)) == {"_xs", "_ys"}  # rebuilt from the anchors, nothing cached
         assert twin.count_sequence(6) == want
     # a solution set too, its points read or not yet built
     for read in (False, True):
@@ -264,7 +265,7 @@ def test_pieces_and_solutions_stay_exact(m, k, sign):
 def test_laps_match_the_fraction_slope_formula(m):
     # the laps, found by divmod on the narrowed anchors, equal the slope
     # (y1 - y0)/(x1 - x0) and intercept y0 - s*x0 taken in Fractions
-    laps = m._lap_tuple()
+    laps = m._laps
     assert len(laps) == len(m.anchors) - 1
     for lap, (x0, y0), (x1, y1) in zip(laps, m.anchors, m.anchors[1:]):
         s = (y1 - y0) / (x1 - x0)
@@ -306,9 +307,9 @@ def test_default_piece_budget_bounds_memory():
     for m, k in ((make_gn(1), 18), (rational, 9), (make_base_map(), 10)):
         size, peak = _traced(lambda: len(m.iterate_pieces(k)))
         per_piece.append(peak / size)
-        if m._markov_data():
+        if m._markov:
             walk = PLMap(m.anchors)
-            walk._markov_data()
+            walk._markov
             solutions, peak = _traced(lambda: walk.solution_set(k, method="markov", max_pieces=size))
             assert len(solutions) == m.count_solutions(k)
             per_piece.append(peak / size)
@@ -321,7 +322,7 @@ def test_markov_walk_refuses_a_level_before_building_it():
     # 6,250,000 words.  With a budget of 3000, f^4's walk refuses the third
     # level before it builds it, within the memory that budget allows
     saw = PLMap([(x, 50 * (x % 2)) for x in range(51)])
-    saw._markov_data()
+    saw._markov
     assert len(saw.solution_set(2, method="markov", max_pieces=2500)) == saw.count_solutions(2) > 0
     with pytest.raises(PieceLimitError):
         saw.solution_set(2, method="markov", max_pieces=2499)
@@ -534,7 +535,8 @@ def test_markov_engine_is_thread_safe():
     # threads sharing one map race on its memos; a memo changed in place
     # would hand some thread another k's matrix power or iterate
     def markov(m):
-        return [m.count_solutions(k, method="markov") for k in range(1, 41)]
+        counts = [m.count_solutions(k, method="markov") for k in range(1, 41)]
+        return counts, [m.solution_set(k, method="markov") for k in range(1, 6)]
 
     def pieces(m):
         return [
@@ -551,6 +553,39 @@ def test_markov_engine_is_thread_safe():
         for _ in range(5):
             m = make()
             assert in_threads(lambda: solve(m)) == [serial] * 4
+    # and on the first reads of the cached values: locked on Python 3.10 and
+    # 3.11, not from 3.12 on, where a race at most builds an equal value twice
+    def first_reads(m):
+        return m._rule, m._laps, m._markov  # the Markov data with its successor ranges
+
+    serial = first_reads(make_hjmn(3, 4, 3))
+    for _ in range(5):
+        m = make_hjmn(3, 4, 3)
+        assert in_threads(lambda: first_reads(m)) == [serial] * 4
+
+
+def test_each_derived_value_is_built_once(monkeypatch):
+    # auto's rule and the Markov data are built on first read; every count,
+    # solution set and sequence after it on the same map reads them as built
+    built = {"rule": 0, "markov": 0}
+    engine_rule, markov_data = plmap._engine_rule, plmap._MarkovData
+
+    def rule(laps):
+        built["rule"] += 1
+        return engine_rule(laps)
+
+    def data(*fields):
+        built["markov"] += 1
+        return markov_data(*fields)
+
+    monkeypatch.setattr(plmap, "_engine_rule", rule)
+    monkeypatch.setattr(plmap, "_MarkovData", data)
+    m = make_hjmn(3, 4, 3)
+    for method in ("auto", "markov"):
+        for k in range(1, 7):
+            assert len(m.solution_set(k, method=method)) == m.count_solutions(k, method=method)
+        assert m.count_sequence(10, method=method) == seq_c(3, 4, 3, 10)
+    assert built == {"rule": 1, "markov": 1}
 
 
 def test_markov_count_keeps_one_matrix_power():
@@ -599,7 +634,7 @@ def products(monkeypatch):
 
 def test_matrix_powers_square(products):
     m = make_hjmn(3, 4, 3)
-    md = m._markov_data()
+    md = m._markov
     A8 = m._matrix_power(md, 8)
     assert len(products) == 3  # A^2, A^4, A^8
     A = md.A
@@ -611,10 +646,6 @@ def test_matrix_powers_square(products):
     products.clear()
     m._matrix_power(md, 13)
     assert len(products) == 4
-    # and a sequence pays one product per k past the first
-    products.clear()
-    make_hjmn(3, 4, 3).count_sequence(20, method="markov")
-    assert len(products) == 19
 
 
 def test_markov_counts_take_one_product_fewer_than_squaring(products):
@@ -654,7 +685,7 @@ def test_auto_counts_on_markov_once_laps_to_the_k_exceed_n_squared():
     # where the count reads A^1 against itself and keeps it as the last power
     m = make_gn(1)
     assert m.count_solutions(1) == 1
-    assert m._iterate[0] == 1 and m._markov is None and m._power is None
+    assert m._iterate[0] == 1 and "_markov" not in vars(m) and m._power is None
     m = make_gn(1)
     assert m.count_solutions(2) == 3
     assert m._iterate is None and m._power[0] == 1
@@ -664,7 +695,7 @@ def test_auto_counts_on_markov_once_laps_to_the_k_exceed_n_squared():
     # the tent over [0, 400]: 2^13 pieces against 400^2 cells, so no matrix
     tent = PLMap([(0, 0), (200, 400), (400, 0)])
     assert tent.count_solutions(13) == 2**13
-    assert tent._markov is None and tent._power is None
+    assert "_markov" not in vars(tent) and tent._power is None
 
 
 def test_auto_counts_past_the_piece_budget_on_markov():
@@ -703,7 +734,7 @@ def test_auto_builds_no_matrix_past_the_piece_budget(monkeypatch):
     def no_matrix(self):
         raise AssertionError("auto built the transition matrix")
 
-    monkeypatch.setattr(PLMap, "_markov_data", no_matrix)
+    monkeypatch.setattr(PLMap, "_markov", property(no_matrix))
     # two laps of f(x) = 800 - x: 2^29 > 800^2, but A would hold 800^2 >
     # DEFAULT_MAX_PIECES entries, so auto stays on pieces
     m = PLMap([(0, 800), (1, 799), (800, 0)])
@@ -722,7 +753,7 @@ def _brute_force_auto(m, k, max_pieces, count):
     """auto's size rule taken literally: markov when the laps have int fields
     and nonzero slopes, n^2 <= max_pieces and laps^k reaches n^2, for an
     enumeration only where laps = n."""
-    laps = m._lap_tuple()
+    laps = m._laps
     usable = all(lap.slope and all(type(v) is int for v in lap) for lap in laps)
     n = laps[-1].hi - laps[0].lo
     flips = count or len(laps) == n
@@ -757,18 +788,11 @@ def test_auto_flip_point_matches_the_brute_force_rule(m):
 
 
 def test_auto_flip_point_values():
-    g1 = make_gn(1)
-    g1._lap_tuple()
-    assert g1._rule == (True, 2, 2)  # 2^2 >= 2^2, and laps = n
+    assert make_gn(1)._rule == (True, 2, 2)  # 2^2 >= 2^2, and laps = n
     tent = PLMap([(0, 0), (200, 400), (400, 0)])
-    tent._lap_tuple()
     assert tent._rule == (True, 18, None)  # 2^18 >= 400^2 > 2^17, and laps < n
-    one_lap = PLMap([(0, 0), (100000, 100000)])
-    one_lap._lap_tuple()
-    assert one_lap._rule == (True, None, None)
-    flat = PLMap([(0, 0), (1, 2), (2, 2)])
-    flat._lap_tuple()
-    assert flat._rule == (False, None, None)
+    assert PLMap([(0, 0), (100000, 100000)])._rule == (True, None, None)
+    assert PLMap([(0, 0), (1, 2), (2, 2)])._rule == (False, None, None)
 
 
 def test_markov_engine_asymmetric_domain_sign_minus():
@@ -820,13 +844,17 @@ def test_sparse_anchor_maps_are_markov():
 @given(m=half_integer_maps())
 @settings(max_examples=150, deadline=None)
 def test_markov_data_read_off_the_laps_matches_the_integers(m):
-    md = m._markov_data()
+    md = m._markov
     # the slow oracle: every anchor x an integer and f integral at every integer
     lo, hi = m.domain
     integers = range(int(lo), int(hi) + 1)
     if all(x.denominator == 1 for x, _ in m.anchors) and all(m(q).denominator == 1 for q in integers):
         assert md is not None
         assert md.values == [m(q) for q in integers]
+        # the successors of j are the nonzero columns of A[j], up ascending and down descending
+        for j, row in enumerate(md.A):
+            columns = [i for i, a in enumerate(row) if a]
+            assert list(md.up[j]) == columns and list(md.down[j]) == columns[::-1], (m, j)
     else:
         assert md is None
 
