@@ -18,6 +18,9 @@ Counting runs on one of two interchangeable engines:
   neighbourhoods, exactly one walk per side.  This engine needs time
   polynomial in k: a count reads n entries of A^k (``_markov_count``).
 
+``count_sequence`` steps either engine's iterate, the pieces of f^k or A^k,
+forward once per k; a single count builds its own.  The map keeps neither.
+
 Both engines are exact and agree wherever both apply (the test suite checks
 them against each other).  ``method="auto"`` picks by size: a composition
 step splits a piece into at most one piece per lap, so f^k has at most
@@ -135,6 +138,20 @@ def _product(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     return _mat_mul(a, b)
 
 
+def _power(A: list[list[int]], k: int) -> list[list[int]]:
+    """A^k, k >= 1, by repeated squaring.  Powers of A commute, so each
+    product takes the power built so far, the lower one, on the left: the
+    factor whose zeros ``_mat_mul`` skips."""
+    power, square = None, A
+    while True:
+        if k & 1:
+            power = square if power is None else _product(power, square)
+        k >>= 1
+        if not k:
+            return power
+        square = _product(square, square)
+
+
 def _engine_rule(laps) -> tuple[bool, int | None, int | None]:
     """What ``auto`` needs of a map, read off its laps once: whether the
     ``markov`` engine can count it (int fields and a nonzero slope on every
@@ -238,22 +255,18 @@ class PLMap:
     """Continuous piecewise-linear self-map of an interval, from anchors.
 
     Anchors may be ints, Fractions, or anything but a float that
-    ``Fraction`` accepts, such as the string ``"1/10"``.
-    Instances are immutable; all operations are pure and safe to share
-    across threads.  The anchors' x's and y's are kept narrowed, ints where
-    integral, from construction on; equality, hashing and evaluation read
-    them there.  What is derived from them once is a ``cached_property``:
-    the public ``anchors`` as Fractions, the laps, ``auto``'s rule read off
-    the laps, and the Markov data.  Two memos keep a last value that a later
-    call replaces whole: the iterate f^j built as ``(j, pieces, values at
-    the piece ends)``, and the matrix power ``(j, A^j)``, which a later A^k,
-    k/2 <= j <= k, resumes by squaring.  A first read of a cached property
-    takes a lock per property on Python 3.10 and 3.11, none from 3.12 on;
-    every value is deterministic, so a race at most builds one twice.  A
-    copy or a pickle is rebuilt from the anchors, with nothing cached.
+    ``Fraction`` accepts, such as the string ``"1/10"``.  Instances are
+    immutable apart from their cached values; all operations are pure and
+    safe to share across threads.  The anchors' x's and y's are kept
+    narrowed, ints where integral, from construction on; equality, hashing
+    and evaluation read them there.  What is derived from them once is a
+    ``cached_property``, and nothing else is kept: the public ``anchors``
+    as Fractions, the laps, ``auto``'s rule read off the laps, and the
+    Markov data.  A first read of a cached property takes a lock per
+    property on Python 3.10 and 3.11, none from 3.12 on; every value is
+    deterministic, so a race at most builds one twice.  A copy or a pickle
+    is rebuilt from the anchors, with nothing cached.
     """
-
-    _iterate = _power = None  # the two memos, empty until first set
 
     def __init__(self, anchors):
         pts = [(_exact(x), _exact(y)) for x, y in anchors]
@@ -368,22 +381,15 @@ class PLMap:
         """The affine pieces of f^k, tiling the domain in ascending order.
 
         All endpoints are exact rationals.  Raises PieceLimitError as soon as
-        the piece list would exceed ``max_pieces``.  The build resumes from
-        the last iterate f^j built, when j <= k; piece counts never fall as
-        k grows, so the budget binds exactly where a fresh build's would.
+        the piece list would exceed ``max_pieces``.
         """
         k, max_pieces = _at_least("k", k, 1), _at_least("max_pieces", max_pieces, 1)
-        memo = self._iterate
-        if memo and memo[0] <= k:
-            j, pieces, ends = memo
-        else:
-            j, pieces, ends = 1, self._laps, self._ys
+        pieces, ends = list(self._laps), self._ys
         if len(pieces) > max_pieces:
             raise PieceLimitError(max_pieces, k)
-        for _ in range(k - j):
+        for _ in range(k - 1):
             pieces, ends = self._compose_with_base(pieces, ends, max_pieces, k)
-        object.__setattr__(self, "_iterate", (k, tuple(pieces), tuple(ends)))
-        return list(pieces)
+        return pieces
 
     # -- Markov structure ---------------------------------------------------
 
@@ -408,27 +414,6 @@ class PLMap:
             A.append(row)
             up.append(range(a, b))
         return _MarkovData(lo, values, slopes, intercepts, A, up, [r[::-1] for r in up])
-
-    def _matrix_power(self, md: _MarkovData, k: int) -> list[list[int]]:
-        """A^k as A^j times A^(k-j), with A^j the last power when j <= k and
-        j = 0 otherwise; A^(k-j) is reached by repeated squaring of A.  Powers
-        of A commute, so each product takes the lower power on the left, the
-        factor whose zeros ``_mat_mul`` skips."""
-        memo = self._power
-        j, Ak = memo if memo and memo[0] <= k else (0, None)
-        d, s, square = k - j, 1, md.A
-        while d:
-            if d & 1:
-                if Ak is None:
-                    Ak = square
-                else:
-                    Ak = _product(square, Ak) if s <= j else _product(Ak, square)
-                j += s
-            d >>= 1
-            if d:
-                square, s = _product(square, square), 2 * s
-        object.__setattr__(self, "_power", (k, Ak))
-        return Ak
 
     def transition_matrix(self) -> list[list[int]]:
         """0/1 matrix over unit intervals: entry (i, j) is 1 iff the image of
@@ -463,9 +448,9 @@ class PLMap:
             return "markov"
         return "pieces"
 
-    def _pieces_solve(self, k: int, sign: int, max_pieces: int, count: bool) -> int | list[tuple[int, int]]:
+    def _pieces_solve(self, pieces: list[AffinePiece], k: int, sign: int, count: bool) -> int | list[tuple[int, int]]:
         """The roots of f^k(x) = sign*x in ascending order, as lowest-terms
-        pairs (N, D), or their number.
+        pairs (N, D), or their number, from the pieces of f^k.
 
         Each piece owns the roots on [lo, hi), the last one on [lo, hi], so
         a root on a shared end is taken once, by the piece that starts
@@ -474,7 +459,6 @@ class PLMap:
         D > 0, is placed by cross-multiplying with the numerators and
         denominators of the ends, which ints and Fractions both carry, and
         reduced by one gcd: no Fraction is built."""
-        pieces = self.iterate_pieces(k, max_pieces)
         last = pieces[-1]
         roots = []
         for p in pieces:
@@ -546,24 +530,20 @@ class PLMap:
                     overlap += 1
         return ints, overlap
 
-    def _markov_count(self, md: _MarkovData, k: int, sign: int) -> int:
+    def _markov_count(self, md: _MarkovData, k: int, sign: int, Ak: list[list[int]] | None = None) -> int:
         """The number of solutions: the entries of A^k that pair each unit
         interval with its target, less the integer-point correction; read
-        off A^k resumed from the last power A^j, k/2 <= j <= k, so a
-        ``count_sequence`` takes one product per k, or else as dot products
-        of rows of A^(k//2) with columns of A^(k - k//2), the higher half
-        kept as the last power: one product fewer than squaring up to A^k,
-        and none at k = 2."""
+        off ``Ak`` where the caller has A^k, or else as dot products of rows
+        of A^(k//2) with columns of A^(k - k//2): one product fewer than
+        squaring up to A^k, and none at k = 2."""
         ints, overlap = self._int_solutions(md, k, sign)
         pairs = [(j, t) for j in range(md.n) if (t := md.target(j, sign)) is not None]
-        memo = self._power
-        if k == 1 or (memo and k <= 2 * memo[0] <= 2 * k):
-            Ak = self._matrix_power(md, k)
+        Ak = md.A if k == 1 else Ak
+        if Ak is not None:
             total = sum(Ak[j][t] for j, t in pairs)
         else:
-            low = self._matrix_power(md, k // 2)
+            low = _power(md.A, k // 2)
             high = _product(md.A, low) if k % 2 else low
-            object.__setattr__(self, "_power", (k - k // 2, high))
             total = sum(sum(map(mul, low[j], [row[t] for row in high])) for j, t in pairs)
         return total - overlap + len(ints)
 
@@ -605,22 +585,27 @@ class PLMap:
             roots.insert(bisect_left(roots, p, key=lambda r: r[0] // r[1]), (p, 1))
         return roots
 
-    def _solve(self, k: int, sign: int, method: str, max_pieces: int, count: bool) -> int | list[tuple[int, int]]:
-        """Validate the query, pick the engine, and return the number of
-        solutions (``count``) or the ascending list of their lowest-terms
-        pairs (N, D)."""
+    def _engine(self, k: int, sign: int, method: str, max_pieces: int, count: bool) -> tuple[str, int, int]:
+        """Validate the query and pick its engine: (engine, k, max_pieces),
+        the sizes checked."""
         k = _at_least("k", k, 1)
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         max_pieces = _at_least("max_pieces", max_pieces, 1)
         if sign == -1 and not (self._xs[0] <= 0 <= self._xs[-1]):
             raise DomainError("f^k(x) = -x needs 0 inside the domain")
-        if self._resolve_method(k, method, max_pieces, count) == "markov":
+        return self._resolve_method(k, method, max_pieces, count), k, max_pieces
+
+    def _solve(self, k: int, sign: int, method: str, max_pieces: int, count: bool) -> int | list[tuple[int, int]]:
+        """The number of solutions (``count``) or the ascending list of
+        their lowest-terms pairs (N, D), on the engine picked."""
+        engine, k, max_pieces = self._engine(k, sign, method, max_pieces, count)
+        if engine == "markov":
             md = self._markov
             if count:
                 return self._markov_count(md, k, sign)
             return self._markov_enumerate(md, k, sign, max_pieces)
-        return self._pieces_solve(k, sign, max_pieces, count)
+        return self._pieces_solve(self.iterate_pieces(k, max_pieces), k, sign, count)
 
     def count_solutions(
         self,
@@ -656,6 +641,20 @@ class PLMap:
         method: str = "auto",
         max_pieces: int = DEFAULT_MAX_PIECES,
     ) -> list[int]:
-        """[count_solutions(k) for k = 1..K]; each engine resumes from its last
-        iterate, A^(k-1) or the pieces of f^(k-1)."""
-        return [self.count_solutions(k, sign, method, max_pieces) for k in range(1, _at_least("K", K, 1) + 1)]
+        """[count_solutions(k) for k = 1..K], one step per k: ``pieces``, on
+        a prefix of the k's, composes f^k from the pieces of f^(k-1), and
+        ``markov``, on the suffix, takes A^k as A times A^(k-1)."""
+        counts, Ak = [], None
+        for k in range(1, _at_least("K", K, 1) + 1):
+            engine, _, max_pieces = self._engine(k, sign, method, max_pieces, count=True)
+            if engine == "markov":
+                md = self._markov
+                Ak = _power(md.A, k) if Ak is None else _product(md.A, Ak)
+                counts.append(self._markov_count(md, k, sign, Ak))
+                continue
+            if k == 1:
+                pieces, ends = self.iterate_pieces(1, max_pieces), self._ys
+            else:
+                pieces, ends = self._compose_with_base(pieces, ends, max_pieces, k)
+            counts.append(self._pieces_solve(pieces, k, sign, count=True))
+        return counts

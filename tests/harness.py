@@ -24,7 +24,7 @@ from hypothesis import example, given, settings, strategies as st
 from plcensus import census
 from plcensus.census import periodic_census, phi1, phi2, symmetric_census
 from plcensus.exactnum import Poly, RecurrenceSpec, charpoly, recurrence_eval, series_expand
-from plcensus.plmap import InfiniteSolutions, NotMarkovError, PLMap
+from plcensus.plmap import DEFAULT_MAX_PIECES, InfiniteSolutions, NotMarkovError, PieceLimitError, PLMap
 from references import numerator_from_terms
 
 F = Fraction
@@ -274,18 +274,38 @@ def check_pairs(solutions):
     assert pairs == tuple((q.numerator, q.denominator) for q in solutions.points), pairs
 
 
-def check_markov_resumed(m, sign, k):
-    # a fresh markov count (from the halves), one after k - 1 (resumed) and
-    # one after 2k (past the kept power) equal the pieces count
+def check_sequence(m, sign, K, budget):
+    # count_sequence steps the pieces of f^(k-1) and A^(k-1) forward; on
+    # each engine, and on auto, it equals per-k counts on the other, up to
+    # the first k that raises, where it raises the same.  At a budget that
+    # binds, it stops at the k where a fresh build first exceeds it.  The
+    # map keeps no iterate, so every count on it starts fresh
     sign = usable_sign(m, sign)
-    want = outcome(PLMap(m.anchors).count_solutions, k, sign, "pieces")
-    got = [outcome(PLMap(m.anchors).count_solutions, k, sign, "markov")]
-    for first in (k - 1, 2 * k):
-        resumed = PLMap(m.anchors)
-        if first:
-            outcome(resumed.count_solutions, first, sign, "markov")
-        got.append(outcome(resumed.count_solutions, k, sign, "markov"))
-    assert got == [want] * 3, (m, k, sign)
+
+    def answer(solve, n, method, max_pieces):
+        try:
+            return solve(n, sign=sign, method=method, max_pieces=max_pieces)
+        except InfiniteSolutions as e:
+            return e.witness, e.k, e.sign
+        except PieceLimitError as e:
+            return "piece limit", e.k
+
+    def fresh(method, max_pieces=DEFAULT_MAX_PIECES):
+        counts = []
+        for k in range(1, K + 1):
+            got = answer(m.count_solutions, k, method, max_pieces)
+            if type(got) is not int:
+                return got
+            counts.append(got)
+        return counts
+
+    def stepped(method, max_pieces=DEFAULT_MAX_PIECES):
+        return answer(m.count_sequence, K, method, max_pieces)
+
+    pieces, markov = fresh("pieces"), fresh("markov")
+    assert stepped("pieces") == markov and stepped("markov") == stepped("auto") == pieces, (m, sign, K)
+    for method in ("pieces", "markov", "auto"):
+        assert stepped(method, budget) == fresh(method, budget), (m, sign, K, budget, method)
 
 
 def check_auto(m, sign):
@@ -375,12 +395,15 @@ class Row(NamedTuple):
     draws: tuple[Draw, ...]
 
 
-def _resumable(maps):
-    """(map, sign, k), k up to 8 where laps^k stays within 3^8, so the pieces stay few."""
+def _sequences(maps):
+    """(map, sign, K, budget): K up to 8 where laps^K stays within 3^8, so
+    the pieces stay few, and a piece budget up to laps^K that binds at some
+    k <= K or at none."""
 
     def cases(m, sign):
         laps = len(m._laps)
-        return st.tuples(st.just(m), st.just(sign), st.integers(1, max(k for k in range(1, 9) if laps**k <= 3**8)))
+        top = max(k for k in range(1, 9) if laps**k <= 3**8)
+        return st.tuples(st.just(m), st.just(sign), st.integers(1, top), st.integers(1, laps**top))
 
     return st.tuples(maps, SIGNS).flatmap(lambda ms: cases(*ms))
 
@@ -400,9 +423,9 @@ ROWS = (
         Draw("integer-dropping-collinear", st.tuples(integer_maps(drop_collinear=True), st.integers(1, 5), SIGNS), 80),
         Draw("wide-tents", st.tuples(wide_tents(), st.integers(1, 5), SIGNS), 20),
     )),
-    Row("markov-resumed", check_markov_resumed, (
-        Draw("integer", _resumable(integer_maps()), 60),
-        Draw("wide-tents", _resumable(wide_tents()), 20),
+    Row("sequence", check_sequence, (
+        Draw("integer", _sequences(integer_maps()), 60),
+        Draw("wide-tents", _sequences(wide_tents()), 20),
     )),
     Row("auto", check_auto, (
         Draw("integer", st.tuples(integer_maps(), SIGNS), 40),

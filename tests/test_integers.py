@@ -39,7 +39,7 @@ SITES = {
     "count_solutions-k": ("k", 1, lambda v: make_gn(1).count_solutions(v), (PLMap, "_resolve_method")),
     "solution_set-max_pieces": ("max_pieces", 1, lambda v: FLIP.solution_set(1, max_pieces=v),
                                 (PLMap, "_resolve_method")),
-    "count_sequence-K": ("K", 1, lambda v: make_gn(1).count_sequence(v), (PLMap, "count_solutions")),
+    "count_sequence-K": ("K", 1, lambda v: make_gn(1).count_sequence(v), (PLMap, "_engine")),
     "factorize-m": ("m", 1, factorize, (census, "_factorize")),
     "verify_congruence-K": ("K", 1, lambda v: verify_congruence(spec_a(3), "phi1", v), (census, "terms")),
     "explore_qrs-n": ("n", 2, lambda v: explore_qrs(v, [0], [0], [0], 5), (census, "_recurrence_stream")),

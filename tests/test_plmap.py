@@ -1,4 +1,5 @@
 import copy
+import gc
 import pickle
 import tracemalloc
 
@@ -343,36 +344,28 @@ def test_markov_enumeration_budget_matches_pieces(m):
 
 @pytest.mark.parametrize("make", [lambda: make_gn(1), make_base_map, lambda: PLMap([(0, 0), (F(1, 3), 1), (1, 0)])])
 def test_iterate_memo_matches_fresh_build(make):
-    fresh = {k: make().iterate_pieces(k) for k in range(1, 6)}
-    for j in range(1, 6):
-        for k in range(1, 6):
-            m = make()
-            m.iterate_pieces(j)
-            assert m.iterate_pieces(k) == fresh[k], (j, k)
+    # the map keeps no iterate: a returned list is the caller's, and a
+    # change to it reaches no later build
+    fresh = {k: make().iterate_pieces(k) for k in (1, 3, 4)}
     m = make()
+    m.iterate_pieces(1).clear()
     m.iterate_pieces(3).clear()
     m.iterate_pieces(3).append(None)
-    assert m.iterate_pieces(3) == fresh[3]
-    assert m.iterate_pieces(4) == fresh[4]
+    assert [m.iterate_pieces(k) for k in (1, 3, 4)] == list(fresh.values())
 
 
-def test_iterate_memo_keeps_budget_boundary():
-    for k in range(1, 6):
-        m = make_gn(2)
-        size = len(m.iterate_pieces(5))
-        budget = len(make_gn(2).iterate_pieces(k))
-        # f^5 cached, k <= 5: the same boundary as a fresh map's
-        with pytest.raises(PieceLimitError) as exc:
-            m.iterate_pieces(k, max_pieces=budget - 1)
-        assert exc.value.k == k
-        assert len(m.iterate_pieces(k, max_pieces=budget)) == budget
-        # f^k cached: the cached iterate itself is over the budget
-        with pytest.raises(PieceLimitError):
-            m.iterate_pieces(k, max_pieces=budget - 1)
-        # resumed from f^k: the composition steps hit the budget
-        with pytest.raises(PieceLimitError):
-            m.iterate_pieces(5, max_pieces=size - 1)
-        assert len(m.iterate_pieces(5, max_pieces=size)) == size
+def test_a_map_keeps_no_iterate():
+    # f^20 of gn(1) has 17,711 pieces, about 4.6 MB; the count drops them all
+    m = make_gn(1)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert m.count_solutions(20, method="pieces") == seq_b(1, 20)[-1]
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 0.1 * 2**20, kept
 
 
 # -- counting and solution sets ----------------------------------------------
@@ -463,20 +456,24 @@ def test_solutions_really_solve():
 
 
 def test_solve_builds_a_fraction_only_per_returned_point(monkeypatch):
-    # with the pieces of f^k built, both engines decide, count, order and
-    # reduce the roots in integers: a count and a solution set build no
-    # Fraction, the first read of the points one per point, a second read none
+    # both engines decide, count, order and reduce the roots in integers: a
+    # count and a solution set build no Fraction but those that building the
+    # pieces of f^k builds, the first read of the points one per point, a
+    # second read none
     cases = [(make_gn(1), 8, 1), (make_pn(2), 5, -1)]
-    for m, k, _ in cases:
-        m.iterate_pieces(k)
     built = []
     monkeypatch.setattr(plmap, "Fraction", lambda *args: built.append(args) or F(*args))
     for m, k, sign in cases:
+        built.clear()
+        m.iterate_pieces(k)
+        cuts = built[:]
         for method in ("pieces", "markov"):
             built.clear()
             count = m.count_solutions(k, sign=sign, method=method)
             solutions = m.solution_set(k, sign=sign, method=method)
-            assert built == [] and len(solutions) == count > 0, method
+            assert built == (2 * cuts if method == "pieces" else []), method
+            assert len(solutions) == count > 0, method
+            built.clear()
             points = solutions.points
             assert built == list(solutions._pairs) and len(points) == count, method
             assert solutions.points is points and list(solutions) == list(points), method
@@ -532,8 +529,8 @@ def test_markov_witness_spans_the_pieces_engine_piece():
 
 
 def test_markov_engine_is_thread_safe():
-    # threads sharing one map race on its memos; a memo changed in place
-    # would hand some thread another k's matrix power or iterate
+    # threads sharing one map share only its cached values; each count,
+    # solution set and sequence builds its own iterates and matrix powers
     def markov(m):
         counts = [m.count_solutions(k, method="markov") for k in range(1, 41)]
         return counts, [m.solution_set(k, method="markov") for k in range(1, 6)]
@@ -606,7 +603,7 @@ def test_markov_count_keeps_one_matrix_power():
     ids=["g2", "h343", "p3 anti"],
 )
 def test_markov_counts_by_squaring_match_a_resumed_sequence_and_the_spec(make, sign, want):
-    # count_sequence resumes A^(k-1) with one product per k; a fresh map
+    # count_sequence steps A^(k-1) forward with one product per k; a fresh map
     # reads A^k's entries off the halves A^(k//2) and A^(k - k//2), reached by
     # squaring; both equal the spec's terms
     seq = make().count_sequence(40, sign=sign, method="markov")
@@ -633,19 +630,18 @@ def products(monkeypatch):
 
 
 def test_matrix_powers_square(products):
-    m = make_hjmn(3, 4, 3)
-    md = m._markov
-    A8 = m._matrix_power(md, 8)
+    A = make_hjmn(3, 4, 3)._markov.A
+    A8 = plmap._power(A, 8)
     assert len(products) == 3  # A^2, A^4, A^8
-    A = md.A
     want = A
     for _ in range(7):
         want = exactnum._mat_mul(want, A)
     assert A8 == want
-    # resumed from the memo: A^13 = A^8 * A * A^4, two squarings and two products
+    # A^13 = A * A^4 * A^8: three squarings and two products, each with the
+    # power built so far, the lower one, on the left
     products.clear()
-    m._matrix_power(md, 13)
-    assert len(products) == 4
+    plmap._power(A, 13)
+    assert len(products) == 5 and all(a <= b for a, b in products), products
 
 
 def test_markov_counts_take_one_product_fewer_than_squaring(products):
@@ -665,37 +661,28 @@ def test_markov_counts_take_one_product_fewer_than_squaring(products):
     products.clear()
     assert make_gn(1).count_solutions(2) == 3
     assert products == []
-    # a sequence resumes A^(k-1), with A on the left
+    # a sequence steps A^(k-1) forward, with A on the left
     products.clear()
     assert make_hjmn(3, 4, 3).count_sequence(20, method="markov") == want[:20]
     assert len(products) == 19 and all(a <= b for a, b in products)
-    # a count after a count at 2k reads the higher half kept, A^k, directly,
-    # and one below the higher half kept goes back to the halves
-    m = make_hjmn(3, 4, 3)
-    m.count_solutions(24, method="markov")
-    products.clear()
-    assert m.count_solutions(12, method="markov") == want[11]
-    assert products == []
-    assert m.count_solutions(11, method="markov") == want[10]
-    assert len(products) == 4  # A^2, A^4, A * A^4 and A * A^5, against 5 by squaring
 
 
-def test_auto_counts_on_markov_once_laps_to_the_k_exceed_n_squared():
+def test_auto_counts_on_markov_once_laps_to_the_k_exceed_n_squared(monkeypatch):
     # gn(1): two laps over n = 2 unit intervals, so 2^k >= 2^2 from k = 2,
-    # where the count reads A^1 against itself and keeps it as the last power
-    m = make_gn(1)
-    assert m.count_solutions(1) == 1
-    assert m._iterate[0] == 1 and "_markov" not in vars(m) and m._power is None
-    m = make_gn(1)
-    assert m.count_solutions(2) == 3
-    assert m._iterate is None and m._power[0] == 1
-    m = make_gn(1)
-    assert m.count_solutions(3) == 4
-    assert m._iterate is None and m._power[0] == 2
+    # where the count reads A^1 against itself
+    ran = []
+    for engine in ("_pieces_solve", "_markov_count"):
+        solve = getattr(PLMap, engine)
+        monkeypatch.setattr(PLMap, engine, lambda m, *args, _e=engine, _s=solve: ran.append(_e) or _s(m, *args))
+    for k, want in ((1, 1), (2, 3), (3, 4)):
+        ran.clear()
+        assert make_gn(1).count_solutions(k) == want
+        assert ran == ["_pieces_solve" if k == 1 else "_markov_count"], k
     # the tent over [0, 400]: 2^13 pieces against 400^2 cells, so no matrix
+    ran.clear()
     tent = PLMap([(0, 0), (200, 400), (400, 0)])
     assert tent.count_solutions(13) == 2**13
-    assert "_markov" not in vars(tent) and tent._power is None
+    assert ran == ["_pieces_solve"] and "_markov" not in vars(tent)
 
 
 def test_auto_counts_past_the_piece_budget_on_markov():
